@@ -9,7 +9,8 @@ Instances are selected either by ``--n`` (the exponent-family instance
 over GF(2^(4n))) or by ``--m``/``--d`` (any power function).  Elements
 on the command line are hex bit vectors of the polynomial-basis
 encoding.  Exit codes: 0 success (and, for verify, pass), 1 validation
-error, 2 guard exceeded, 3 a structured-solver claim failed.
+error, 2 guard exceeded, 3 a structured-solver claim failed, 4 the
+``--out`` or ``--log`` file could not be written.
 
 The environment variable ``DIFFSPEC_MAX_M`` may lower (never raise) the
 built-in m <= 24 guard.  Identical configurations produce byte-identical
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_GUARD = 2
 EXIT_THEOREM = 3
+EXIT_IO = 4
 
 METHODS = ("brute", "structured", "closed-form", "all")
 FORMATS = ("json", "csv", "table")
@@ -188,7 +190,7 @@ def _spectrum_payload(cfg: RunConfig) -> dict:
             return powerfn.spectrum_brute(f)
         if method == "closed-form":
             return theorem.spectrum_closed_form(params)
-        counts = (theorem.delta_structured(params, b) for b in f.field.elements())
+        counts = [theorem.delta_structured(params, b) for b in f.field.elements()]
         return powerfn.spectrum_from_counts(counts, f)
 
     if cfg.method != "all":
@@ -397,19 +399,23 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
     text = _render(cfg, record.payload)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    if cfg.log:
-        with open(cfg.log, "a") as fh:
-            fh.write(json.dumps({
-                "timestamp": record.timestamp,
-                "duration_s": record.duration_s,
-                "config": record.config,
-                "payload": record.payload,
-            }) + "\n")
+    try:
+        if cfg.out:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        if cfg.log:
+            with open(cfg.log, "a") as fh:
+                fh.write(json.dumps({
+                    "timestamp": record.timestamp,
+                    "duration_s": record.duration_s,
+                    "config": record.config,
+                    "payload": record.payload,
+                }) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     if cfg.command == "verify" and not record.payload["pass"]:
         return EXIT_VALIDATION

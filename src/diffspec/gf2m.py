@@ -19,9 +19,13 @@ elimination.
 
 For exhaustive sweeps there is an accelerated bulk path: discrete
 log/antilog tables over a primitive element, stored as numpy arrays and
-built with a doubling construction so that even degree-24 tables take
-seconds.  The table path must (and does; the test suite checks) agree
-bit-for-bit with the schoolbook scalar path.
+built with a doubling construction.  Each doubling multiplies the known
+block by a constant, an F2-linear map that is applied byte-sliced: one
+256-entry table per input byte, looked up and XORed together, so the
+degree-24 tables take well under a second.  Bulk loops run in chunks of
+``BULK_CHUNK`` elements, which bounds their temporaries.  The table path
+must (and does; the test suite checks) agree bit-for-bit with the
+schoolbook scalar path.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import GuardExceededError
 
 MIN_DEGREE = 4
 MAX_DEGREE = 24  # 2^24-entry tables are the desk-scale ceiling
+BULK_CHUNK = 1 << 16  # elements per pass of a bulk numpy loop
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +158,35 @@ class _LinearSystem:
         return mask
 
 
+def _byte_tables(images: list[int]) -> np.ndarray:
+    """Byte-sliced lookup tables of an F2-linear map on packed vectors.
+
+    ``images[i]`` is the image of the basis vector ``1 << i``.  Row j of
+    the result maps a byte value v to the image of ``v << 8j``, so the
+    image of any x is the XOR over its bytes of ``tables[j][byte j]``.
+    """
+    tables = np.zeros((-(-len(images) // 8), 256), dtype=np.uint32)
+    for i, image in enumerate(images):
+        row, bit = tables[i // 8], 1 << (i % 8)
+        row[bit:2 * bit] = row[:bit] ^ image
+    return tables
+
+
+def _apply_byte_tables(tables: np.ndarray, src: np.ndarray, out: np.ndarray):
+    """out = L(src) elementwise for uint32 arrays, ``BULK_CHUNK`` at a time."""
+    byte = np.empty(min(BULK_CHUNK, len(src)), dtype=np.uint32)
+    for start in range(0, len(src), BULK_CHUNK):
+        s = src[start:start + BULK_CHUNK]
+        o = out[start:start + BULK_CHUNK]
+        b = byte[:len(s)]
+        np.bitwise_and(s, 0xFF, out=b)
+        np.take(tables[0], b, out=o)
+        for j in range(1, len(tables)):
+            np.right_shift(s, 8 * j, out=b)
+            b &= 0xFF
+            o ^= np.take(tables[j], b)
+
+
 class ArtinSchreierSolver:
     """Roots of z^2 + z = c in GF(2^m).
 
@@ -231,8 +265,14 @@ class GF2m:
         return f"m={self.degree} poly=0x{self.modulus:x}"
 
     def check(self, a: int) -> int:
-        """Validate that a is an element of this field (an int below 2^m)."""
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
+        """Validate that a is an element of this field (an int below 2^m).
+
+        Bools are rejected: ``True`` is an int to Python but not a field
+        element to a caller.
+        """
+        if type(a) is not int and (isinstance(a, bool) or not isinstance(a, (int, np.integer))):
+            raise ValueError(f"{a!r} is not an element of GF(2^{self.degree})")
+        if not 0 <= a < self.order:
             raise ValueError(f"{a!r} is not an element of GF(2^{self.degree})")
         return int(a)
 
@@ -434,8 +474,8 @@ class GF2m:
         ``exp[k] = g^k`` for k in [0, 2^m - 1) and ``log[exp[k]] = k``;
         ``log[0]`` is meaningless and callers must special-case zero.
         Built lazily with a doubling construction: once g^0..g^(f-1) are
-        known, the next f entries are the known block scaled by g^f,
-        which vectorizes into O(m) numpy passes per doubling.
+        known, the next f entries are the known block scaled by g^f
+        through byte-sliced tables of that multiplication.
         """
         if self._tables is None:
             size = self.order - 1
@@ -445,29 +485,25 @@ class GF2m:
             filled = 1
             while filled < size:
                 step = min(filled, size - filled)
-                scalar = self.pow(g, filled)
-                exp[filled:filled + step] = self._scale_block(scalar, exp[:step])
+                tables = _byte_tables(self._scaled_basis(self.pow(g, filled)))
+                _apply_byte_tables(tables, exp[:step], exp[filled:filled + step])
                 filled += step
             log = np.zeros(self.order, dtype=np.uint32)
-            log[exp] = np.arange(size, dtype=np.uint32)
+            for start in range(0, size, BULK_CHUNK):
+                stop = min(start + BULK_CHUNK, size)
+                log[exp[start:stop]] = np.arange(start, stop, dtype=np.uint32)
             self._tables = (exp, log)
         return self._tables
 
-    def _scale_block(self, scalar: int, block: np.ndarray) -> np.ndarray:
-        """Multiply every element of `block` by `scalar`, vectorized."""
-        acc = np.zeros(len(block), dtype=np.uint64)
-        v = block.astype(np.uint64)
-        shift = 0
-        while scalar:
-            if scalar & 1:
-                acc ^= v << shift
-            scalar >>= 1
-            shift += 1
-        m = self.degree
-        for t in range(2 * m - 2, m - 1, -1):
-            mask = (acc >> t) & 1
-            acc ^= mask * (self.modulus << (t - m))
-        return acc.astype(np.uint32)
+    def _scaled_basis(self, scalar: int) -> list[int]:
+        """scalar * x^i for i < m: the basis images of multiplying by scalar."""
+        images = []
+        for _ in range(self.degree):
+            images.append(scalar)
+            scalar <<= 1
+            if scalar & self.order:
+                scalar ^= self.modulus
+        return images
 
 
 def mu_order(s: int, m: int) -> int:

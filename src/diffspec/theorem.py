@@ -49,8 +49,7 @@ from .gf2m import GF2m, MAX_DEGREE
 from .powerfn import (
     PowerFunction,
     Spectrum,
-    derivative_table,
-    spectrum_brute,
+    solution_counts,
     spectrum_from_counts,
 )
 
@@ -532,38 +531,39 @@ def verify_conjecture(params: TheoremParams) -> VerificationReport:
     at n = 1; at most 2 everywhere else).
     """
     n, q = params.n, params.q
+    order = params.field.order
     f = params.power_function()
-    per_b = np.bincount(derivative_table(f), minlength=params.field.order)
-    brute = spectrum_brute(f)
+    per_b = solution_counts(f)
+    brute = spectrum_from_counts(per_b, f)
     closed = spectrum_closed_form(params)
 
-    structured_counts = [delta_structured(params, b) for b in range(params.field.order)]
+    structured_counts = np.array([delta_structured(params, b) for b in range(order)])
     structured = spectrum_from_counts(structured_counts, f)
     mismatches = [
-        (b, s, int(per_b[b]))
-        for b, s in enumerate(structured_counts)
-        if s != int(per_b[b])
+        (b, int(structured_counts[b]), int(per_b[b]))
+        for b in np.flatnonzero(structured_counts != per_b).tolist()
     ]
 
     full = q * q
     mid = q * q - q
-    full_hits = [b for b in range(params.field.order) if per_b[b] == full]
-    one_b_full = full_hits == [1]
+    one_b_full = np.flatnonzero(per_b == full).tolist() == [1]
 
-    circle = unit_circle(params) - {1}
-    mid_hits = {b for b in range(params.field.order) if per_b[b] == mid}
+    circle = np.zeros(order, dtype=bool)
+    circle[list(unit_circle(params) - {1})] = True
+    mid_hits = per_b == mid
     if n >= 2:
-        circle_values = mid_hits == circle
+        circle_values = bool(np.array_equal(mid_hits, circle))
     else:
         # mid = 2 collides with the generic two-solution bucket at n = 1.
         expected_extra = (q ** 4 - q ** 3) // 2
-        circle_values = circle <= mid_hits and len(mid_hits) == len(circle) + expected_extra
+        circle_values = bool(
+            np.all(mid_hits[circle])
+            and np.count_nonzero(mid_hits) == np.count_nonzero(circle) + expected_extra
+        )
 
-    remaining_ok = all(
-        per_b[b] <= 2
-        for b in range(params.field.order)
-        if b != 1 and b not in circle
-    )
+    rest = ~circle
+    rest[1] = False
+    remaining_ok = bool(np.all(per_b[rest] <= 2))
 
     return VerificationReport(
         params=params,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from diffspec.theorem import TheoremParams
@@ -15,3 +17,18 @@ def make_params():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def peak_traced_bytes():
+    """Peak bytes traced by tracemalloc (numpy buffers included) during fn()."""
+
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -54,6 +54,16 @@ def test_exit_code_validation(capsys):
     assert run_cli(capsys, "spectrum", "--n", "2", "--modulus", "0x11c")[0] == 1
 
 
+def test_exit_code_unwritable_output(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir"
+    for flag in ("--out", "--log"):
+        code, _, err = run_cli(capsys, "spectrum", "--n", "1", flag, str(missing / "f"))
+        assert code == 4
+        assert err.startswith("error: ")
+        assert "no-such-dir" in err
+    assert not missing.exists()
+
+
 # -- spectrum --------------------------------------------------------------------
 
 def test_spectrum_all_methods_agree(capsys):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from diffspec.errors import GuardExceededError
@@ -133,6 +134,19 @@ def test_element_validation(f16):
         f16.mul(16, 1)
     with pytest.raises(ValueError):
         f16.add(1, -1)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+def test_bools_are_not_elements(f16, value):
+    with pytest.raises(ValueError):
+        f16.check(value)
+    with pytest.raises(ValueError):
+        f16.mul(value, 1)
+
+
+def test_numpy_integers_are_elements(f16):
+    assert f16.check(np.uint32(7)) == 7
+    assert type(f16.check(np.int64(7))) is int
 
 
 # -- Frobenius and traces --------------------------------------------------------
@@ -308,6 +322,37 @@ def test_tables_agree_with_schoolbook_random():
     for _ in range(2000):
         a, b = rng.randrange(1, fld.order), rng.randrange(1, fld.order)
         assert fld.mul(a, b) == int(exp[(int(log[a]) + int(log[b])) % size])
+
+
+@pytest.fixture(scope="module", params=[16, 20, 24])
+def big_field(request):
+    """Fields whose tables are built once per module and checked by sampling."""
+    return GF2m(request.param)
+
+
+def test_exp_table_is_a_permutation_of_the_group(big_field):
+    exp, log = big_field.log_tables()
+    assert exp.dtype == log.dtype == np.uint32
+    assert len(exp) == big_field.order - 1
+    seen = np.zeros(big_field.order, dtype=bool)
+    seen[exp] = True
+    assert not seen[0] and seen[1:].all()
+
+
+def test_tables_agree_with_schoolbook_sampled(big_field):
+    exp, log = big_field.log_tables()
+    g = big_field.primitive_element()
+    size = big_field.order - 1
+    rng = random.Random(big_field.degree)
+    for k in [0, 1, size - 1] + [rng.randrange(size) for _ in range(300)]:
+        assert int(exp[k]) == big_field.pow(g, k)
+        assert int(log[exp[k]]) == k
+
+
+def test_table_build_memory_bound(peak_traced_bytes):
+    # exp and log take 8 MiB at m = 20; the build's temporaries may add
+    # about as much again, not several field-sized int64 arrays.
+    assert peak_traced_bytes(GF2m(20).log_tables) <= 17 * 2**20
 
 
 def test_primitive_element_generates(f16):

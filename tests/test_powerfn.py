@@ -11,6 +11,7 @@ from diffspec.powerfn import (
     derivative_table,
     differential_uniformity,
     is_permutation_exponent,
+    solution_counts,
     solution_set,
     spectrum_brute,
 )
@@ -49,6 +50,33 @@ def test_derivative_pairing_symmetry(f16, f256):
         img = derivative_table(PowerFunction(fld, d))
         xs = np.arange(fld.order)
         assert np.array_equal(img[xs ^ 1], img)
+
+
+@pytest.mark.parametrize("m", [16, 20, 24])
+def test_derivative_table_matches_scalar_sampled(m):
+    fld = GF2m(m)
+    rng = random.Random(m)
+    for d in (3, (1 << (m // 2)) + 1, fld.order - 2, rng.randrange(2, fld.order - 1)):
+        f = PowerFunction(fld, d)
+        table = derivative_table(f)
+        assert table.dtype == np.uint32 and len(table) == fld.order
+        for x in [0, 1, fld.order - 1] + [rng.randrange(fld.order) for _ in range(40)]:
+            assert int(table[x]) == fld.pow(x ^ 1, d) ^ fld.pow(x, d)
+
+
+def test_derivative_table_memory_bound(peak_traced_bytes):
+    # From a fresh field at m = 20 the tables (8 MiB) and the returned
+    # table (4 MiB) are the field-sized arrays; no int64 index array fits.
+    f = PowerFunction(GF2m(20), 1 + 2**10)
+    assert peak_traced_bytes(lambda: derivative_table(f)) <= 17 * 2**20
+
+
+def test_solution_counts_match_full_histogram(f16, f256):
+    for fld in (f16, f256):
+        for d in (0, 1, 2, 3, 7, fld.order - 2):
+            f = PowerFunction(fld, d)
+            full = np.bincount(derivative_table(f), minlength=fld.order)
+            assert np.array_equal(solution_counts(f), full)
 
 
 def test_image_table_matches_scalar_eval(f256):
