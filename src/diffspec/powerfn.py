@@ -10,6 +10,10 @@ collapses to a single row.
 The sweep works on the field's antilog/log tables with numpy, making a
 single O(2^m) pass instead of the O(2^(2m)) per-output counting loop;
 that one-pass histogram is what keeps degree-16..24 sweeps interactive.
+It is fused and chunked: F is evaluated ``BULK_CHUNK`` inputs at a time
+and each slice is histogrammed straight into one ``uint32`` count array,
+so besides the tables a sweep holds only that array (64 MB at m = 24)
+and chunk-sized temporaries, never a field-sized image or int64 array.
 Results are deterministic and independent of chunking or thread count
 because every accumulation is a plain order-insensitive count.
 """
@@ -55,29 +59,29 @@ class PowerFunction:
     def eval(self, x: int) -> int:
         return self.field.pow(x, self.exponent)
 
-    def image_table(self) -> np.ndarray:
-        """x^d for every x, as g^(log(x) * d mod (2^m - 1)) from the log tables.
+    def _image_chunk(self, start: int, stop: int) -> np.ndarray:
+        """x^d for x in [start, stop), as g^(log(x) * d mod (2^m - 1)).
 
-        The exponent products are formed ``BULK_CHUNK`` elements at a
-        time, so no int64 array of the field's size is allocated.
+        Slot x = 0, whose log is meaningless, is set to 0^d.  Only
+        chunk-sized temporaries are allocated.
         """
-        order = self.field.order
-        out = np.zeros(order, dtype=np.uint32)
-        if self.exponent == 0:
-            out[:] = 1
-            return out
         exp, log = self.field.log_tables()
-        size = order - 1
-        dr = self.exponent % size
-        if dr == 0:
-            out[1:] = 1
-            return out
-        for start in range(1, order, BULK_CHUNK):
+        size = self.field.order - 1
+        k = log[start:stop].astype(np.int64)
+        k *= self.exponent % size
+        k %= size
+        out = exp[k]
+        if start == 0:
+            out[0] = 1 if self.exponent == 0 else 0
+        return out
+
+    def image_table(self) -> np.ndarray:
+        """x^d for every x, as a uint32 array, ``BULK_CHUNK`` elements at a time."""
+        order = self.field.order
+        out = np.empty(order, dtype=np.uint32)
+        for start in range(0, order, BULK_CHUNK):
             stop = min(start + BULK_CHUNK, order)
-            k = log[start:stop].astype(np.int64)
-            k *= dr
-            k %= size
-            np.take(exp, k, out=out[start:stop])
+            out[start:stop] = self._image_chunk(start, stop)
         return out
 
 
@@ -120,14 +124,33 @@ class Spectrum:
 
 
 def spectrum_from_counts(counts, f: PowerFunction) -> Spectrum:
-    """Spectrum from per-b solution counts, a list or array of ints."""
-    hist = np.bincount(counts)
+    """Spectrum from per-b solution counts, a list or array of ints.
+
+    The counts are histogrammed ``BULK_CHUNK`` at a time.  Multiplicities
+    of ``BULK_CHUNK`` or more (at most 2^m / ``BULK_CHUNK`` of them when
+    the counts sum to 2^m) are tallied apart, so a linear or constant map,
+    whose single count is 2^m, needs no histogram of length 2^m + 1.
+    """
+    counts = np.asarray(counts)
+    hist = np.zeros(min(int(counts.max()) + 1, BULK_CHUNK), dtype=np.int64)
+    large = []
+    for start in range(0, len(counts), BULK_CHUNK):
+        part = counts[start:start + BULK_CHUNK]
+        if part.max() >= BULK_CHUNK:
+            large.append(part[part >= BULK_CHUNK])
+            part = part[part < BULK_CHUNK]
+        part_hist = np.bincount(part)
+        hist[:len(part_hist)] += part_hist
     occurring = np.flatnonzero(hist)
+    entries = dict(zip(occurring.tolist(), hist[occurring].tolist()))
+    if large:
+        values, tally = np.unique(np.concatenate(large), return_counts=True)
+        entries.update(zip(values.tolist(), tally.tolist()))
     return Spectrum(
         m=f.field.degree,
         d=f.reported_exponent,
         poly=f.field.modulus,
-        entries=dict(zip(occurring.tolist(), hist[occurring].tolist())),
+        entries=entries,
     )
 
 
@@ -145,14 +168,28 @@ def derivative_table(f: PowerFunction) -> np.ndarray:
 
 
 def delta(f: PowerFunction, a: int, b: int) -> int:
-    """Exact number of x with F(x+a) + F(x) = b, by full sweep."""
+    """Exact number of x with F(x+a) + F(x) = b, by full sweep.
+
+    The sweep runs over aligned power-of-two chunks [s, s + C): there
+    x ^ a ranges over the aligned chunk s ^ (a & ~(C - 1)), permuted by
+    ^ (a & (C - 1)), so F(x ^ a) is one more chunk evaluation and no
+    field-sized array is built.
+    """
     a = f.field.check(a)
     b = f.field.check(b)
     if a == 0:
         raise ValueError("difference a must be nonzero")
-    table = f.image_table()
-    xs = np.arange(f.field.order, dtype=np.int64)
-    return int(np.count_nonzero((table[xs ^ a] ^ table) == b))
+    order = f.field.order
+    size = min(BULK_CHUNK, order)
+    shift = a & ~(size - 1)
+    perm = np.arange(size) ^ (a & (size - 1))
+    total = 0
+    for start in range(0, order, size):
+        image = f._image_chunk(start, start + size)
+        other = start ^ shift
+        partner = image if other == start else f._image_chunk(other, other + size)
+        total += int(np.count_nonzero((image ^ partner[perm]) == b))
+    return total
 
 
 def delta_via_normalization(f: PowerFunction, a: int, b: int) -> int:
@@ -174,12 +211,18 @@ def solution_set(f: PowerFunction, b: int) -> set[int]:
 def solution_counts(f: PowerFunction) -> np.ndarray:
     """Slot b holds the number of x with F(x+1) + F(x) = b, for every b.
 
-    x and x ^ 1 share their derivative value, so the even slots of the
-    derivative table are counted and the counts doubled: half the
-    histogram input of counting every x, for the same result.
+    Returns a ``uint32`` array of length 2^m.  F is evaluated one
+    ``BULK_CHUNK`` slice at a time; x and x ^ 1 share their derivative
+    value and sit side by side in an even-aligned slice, so each pair
+    adds 2 to its slot straight from the slice.  No derivative table or
+    int64 histogram of the field's size is built.
     """
-    counts = np.bincount(derivative_table(f)[::2], minlength=f.field.order)
-    counts *= 2
+    order = f.field.order
+    counts = np.zeros(order, dtype=np.uint32)
+    two = np.uint32(2)   # a Python int would take np.add.at's casting slow path
+    for start in range(0, order, BULK_CHUNK):
+        image = f._image_chunk(start, min(start + BULK_CHUNK, order))
+        np.add.at(counts, image[0::2] ^ image[1::2], two)
     return counts
 
 

@@ -166,7 +166,8 @@ class CirclePairState:
     parameters gamma with x^(2q^2) = (b + gamma)/(pair_sum) solving the
     derivative equation are the unit-circle roots of
     t^2 + pair_sum * t + pair_product = 0; ``circle_roots`` holds them
-    (either both or none, never one).
+    (either both or none, never one).  That quadratic is claimed to split
+    in the field; one without roots raises ``TheoremViolationError``.
     """
 
     b: int
@@ -245,6 +246,10 @@ def circle_pair_state(params: TheoremParams, b: int) -> CirclePairState:
                                pair_sum, pair_product)
 
     roots = fld.solve_quadratic(pair_sum, pair_product)
+    if not roots:
+        raise TheoremViolationError(
+            f"the pair quadratic t^2 + S t + P does not split, b=0x{b:x}"
+        )
     on_circle = tuple(
         r for r in roots if r != 0 and fld.mul(r, fld.frobenius_pow(r, n)) == 1
     )

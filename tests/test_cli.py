@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from diffspec.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +131,18 @@ def test_verify_csv_matches_json(capsys):
     assert got[("result", "pass")] == "True"
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (("verify", "--n", "1"), "verify_n1.json"),
+    (("verify", "--n", "2"), "verify_n2.json"),
+    (("verify", "--n", "3"), "verify_n3.json"),
+    (("spectrum", "--m", "20", "--d", "7", "--method", "brute"), "spectrum_m20_d7_brute.json"),
+])
+def test_output_byte_identical_to_golden(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_requires_n(capsys):
     assert run_cli(capsys, "verify", "--m", "8", "--d", "83")[0] == 1
 
@@ -152,6 +167,15 @@ def test_delta_quadratic_case_exposes_audit_values(capsys):
     assert info["case"] == "quadratic"
     assert {"A", "B", "C", "circle_roots"} <= set(info)
     assert info["count"] == payload["delta"]
+
+
+def test_delta_unsplit_pair_quadratic_exits_theorem(capsys, monkeypatch):
+    from diffspec.gf2m import GF2m
+
+    monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: ())
+    code, _, err = run_cli(capsys, "delta", "--n", "2", "--a", "0x1", "--b", "0x2")
+    assert code == 3
+    assert "does not split" in err
 
 
 def test_delta_normalization_identity(capsys):

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from diffspec.gf2m import GF2m
+from diffspec.gf2m import BULK_CHUNK, GF2m
 from diffspec.powerfn import (
     PowerFunction,
     delta,
@@ -14,6 +15,7 @@ from diffspec.powerfn import (
     solution_counts,
     solution_set,
     spectrum_brute,
+    spectrum_from_counts,
 )
 
 
@@ -77,6 +79,52 @@ def test_solution_counts_match_full_histogram(f16, f256):
             f = PowerFunction(fld, d)
             full = np.bincount(derivative_table(f), minlength=fld.order)
             assert np.array_equal(solution_counts(f), full)
+
+
+@pytest.mark.parametrize("m", [4, 17, 20])
+def test_solution_counts_chunked_match_full_histogram(m):
+    # m = 4 is one chunk shorter than BULK_CHUNK; m = 17 and 20 span several.
+    fld = GF2m(m)
+    order = fld.order
+    rng = random.Random(m)
+    for d in (0, 1, 1 << rng.randrange(1, m), order - 1, 3 * (order - 1),
+              rng.randrange(2, order * order)):
+        f = PowerFunction(fld, d)
+        counts = solution_counts(f)
+        assert counts.dtype == np.uint32
+        full = np.bincount(derivative_table(f), minlength=order)
+        assert np.array_equal(counts, full), d
+
+
+def test_spectrum_from_counts_inputs(f16):
+    # The list form, as the structured CLI route passes it.
+    f = PowerFunction(f16, 13)
+    counts = solution_counts(f).tolist()
+    assert spectrum_from_counts(counts, f).entries == {0: 9, 2: 6, 4: 1}
+
+    fld = GF2m(17)
+    f = PowerFunction(fld, 7)
+    order = fld.order
+    # A single count of 2^m, as for d = 0.
+    single = np.zeros(order, dtype=np.uint32)
+    single[0] = order
+    assert spectrum_from_counts(single, f).entries == {0: order - 1, order: 1}
+    # The largest count in the last chunk, below and above BULK_CHUNK.
+    for top in (4096, BULK_CHUNK, order - 2):
+        counts = np.zeros(order, dtype=np.uint32)
+        counts[:order // 4:2] = 2
+        counts[-1] = top
+        assert spectrum_from_counts(counts, f).entries == dict(Counter(counts.tolist())), top
+
+
+def test_sweep_memory_bound(peak_traced_bytes):
+    # With the tables built, the uint32 counts (4 MiB at m = 20) are the
+    # only field-sized array; no image, derivative or int64 array fits.
+    fld = GF2m(20)
+    fld.log_tables()
+    f = PowerFunction(fld, 1 + 2**10)
+    assert peak_traced_bytes(lambda: solution_counts(f)) <= 6 * 2**20
+    assert peak_traced_bytes(lambda: spectrum_brute(f)) <= 6 * 2**20
 
 
 def test_image_table_matches_scalar_eval(f256):
@@ -145,6 +193,29 @@ def test_delta_normalization_sampled(m, d):
         a = rng.randrange(1, fld.order)
         b = rng.randrange(fld.order)
         assert delta(f, a, b) == delta_via_normalization(f, a, b)
+
+
+@pytest.mark.parametrize("m,d", [(8, 83), (12, 583), (16, 7), (17, 7)])
+def test_delta_matches_full_field_gather(m, d):
+    # At m = 17 about half the a reach past the first BULK_CHUNK block.
+    fld = GF2m(m)
+    f = PowerFunction(fld, d)
+    table = f.image_table()
+    xs = np.arange(fld.order)
+    rng = random.Random(m)
+    for _ in range(40):
+        a = rng.randrange(1, fld.order)
+        diffs = table[xs ^ a] ^ table
+        # Half the b are hit by the derivative, half drawn uniformly.
+        b = int(diffs[rng.randrange(fld.order)]) if rng.random() < 0.5 else rng.randrange(fld.order)
+        assert delta(f, a, b) == int(np.count_nonzero(diffs == b)), (a, b)
+
+
+def test_delta_memory_bound(peak_traced_bytes):
+    fld = GF2m(20)
+    fld.log_tables()
+    f = PowerFunction(fld, 1 + 2**10)
+    assert peak_traced_bytes(lambda: delta(f, 0x5A5A5, 0x1234)) <= 4 * 2**20
 
 
 def test_delta_normalization_identity_cases(f16):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diffspec.errors import GuardExceededError, TheoremViolationError
+from diffspec.gf2m import GF2m
 from diffspec.powerfn import derivative_table, solution_set, spectrum_brute
 from diffspec.theorem import (
     TheoremParams,
@@ -338,3 +339,14 @@ def test_instance_invariants_raise_theorem_channel(monkeypatch):
     monkeypatch.setattr(theorem_mod, "congruence_holds", lambda n: False)
     with pytest.raises(TheoremViolationError):
         TheoremParams(1)
+
+
+def test_unsplit_pair_quadratic_raises_theorem_channel(make_params, monkeypatch):
+    p = make_params(2)
+    b = next(
+        b for b in range(2, p.field.order)
+        if not p.field.in_subfield(b, 4) and case_trace(p, b).state.pair_sum
+    )
+    monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: ())
+    with pytest.raises(TheoremViolationError, match="does not split"):
+        case_trace(p, b)
