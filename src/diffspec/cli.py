@@ -10,12 +10,15 @@ over GF(2^(4n))) or by ``--m``/``--d`` (any power function).  Elements
 on the command line are hex bit vectors of the polynomial-basis
 encoding.  Exit codes: 0 success (and, for verify, pass), 1 validation
 error, 2 guard exceeded, 3 a structured-solver claim failed, 4 the
-``--out`` or ``--log`` file could not be written.
+``--out`` or ``--log`` file could not be written, 5 verify ran and
+reported ``pass: false``.
 
 The environment variable ``DIFFSPEC_MAX_M`` may lower (never raise) the
 built-in m <= 24 guard.  Identical configurations produce byte-identical
 result payloads; ``--log PATH`` appends one JSON line per run with a
-timestamp and wall-clock duration kept outside the payload.
+timestamp, the wall-clock duration and diagnostics kept outside the
+payload: the peak resident set size, and for verify the seconds of each
+phase, the dispatch-branch histogram and the brute sweep's thread count.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import csv
 import io
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -39,6 +43,7 @@ EXIT_VALIDATION = 1
 EXIT_GUARD = 2
 EXIT_THEOREM = 3
 EXIT_IO = 4
+EXIT_VERIFY_FAILED = 5
 
 METHODS = ("brute", "structured", "closed-form", "all")
 FORMATS = ("json", "csv", "table")
@@ -90,6 +95,7 @@ class RunRecord:
     duration_s: float
     config: dict
     payload: dict
+    diagnostics: dict
 
 
 def _hex_int(text: str) -> int:
@@ -182,7 +188,7 @@ def _make_instance(cfg: RunConfig):
 
 # -- payload builders --------------------------------------------------------
 
-def _spectrum_payload(cfg: RunConfig) -> dict:
+def _spectrum_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     params, f = _make_instance(cfg)
 
     def compute(method: str) -> powerfn.Spectrum:
@@ -213,14 +219,22 @@ def _spectrum_payload(cfg: RunConfig) -> dict:
     }
 
 
-def _verify_payload(cfg: RunConfig) -> dict:
+def _verify_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     if cfg.n is None:
         raise _UsageError("verify needs the --n instance selector")
+    start = time.perf_counter()
     params = theorem.TheoremParams(cfg.n, cfg.modulus)
-    return theorem.verify_conjecture(params).to_json_dict()
+    field_s = time.perf_counter() - start
+    report = theorem.verify_conjecture(params)
+    diagnostics.update(
+        phases_s={k: round(v, 6) for k, v in {"field": field_s, **report.timings}.items()},
+        branches=report.branches,
+        sweep_workers=powerfn.sweep_workers(params.field),
+    )
+    return report.to_json_dict()
 
 
-def _delta_payload(cfg: RunConfig) -> dict:
+def _delta_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     params, f = _make_instance(cfg)
     a, b = cfg.a, cfg.b
     if a is None or b is None:
@@ -254,7 +268,7 @@ def _delta_payload(cfg: RunConfig) -> dict:
     return payload
 
 
-def _field_info_payload(cfg: RunConfig) -> dict:
+def _field_info_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     import math
 
     params, f = _make_instance(cfg)
@@ -369,14 +383,25 @@ _BUILDERS = {
 }
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far; ru_maxrss counts KiB
+    on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
+
 def run(cfg: RunConfig) -> RunRecord:
+    """Build the payload; builders add their diagnostics to the record's."""
     start = time.monotonic()
-    payload = _BUILDERS[cfg.command](cfg)
+    diagnostics: dict = {}
+    payload = _BUILDERS[cfg.command](cfg, diagnostics)
+    diagnostics["peak_rss_mb"] = _peak_rss_mb()
     return RunRecord(
         timestamp=datetime.now(timezone.utc).isoformat(),
         duration_s=round(time.monotonic() - start, 6),
         config=cfg.echo(),
         payload=payload,
+        diagnostics=diagnostics,
     )
 
 
@@ -412,13 +437,14 @@ def main(argv=None) -> int:
                     "duration_s": record.duration_s,
                     "config": record.config,
                     "payload": record.payload,
+                    "diagnostics": record.diagnostics,
                 }) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     if cfg.command == "verify" and not record.payload["pass"]:
-        return EXIT_VALIDATION
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

@@ -14,18 +14,41 @@ It is fused and chunked: F is evaluated ``BULK_CHUNK`` inputs at a time
 and each slice is histogrammed straight into one ``uint32`` count array,
 so besides the tables a sweep holds only that array (64 MB at m = 24)
 and chunk-sized temporaries, never a field-sized image or int64 array.
-Results are deterministic and independent of chunking or thread count
-because every accumulation is a plain order-insensitive count.
+
+The chunk loops of ``solution_counts`` (so of ``spectrum_brute`` and
+``verify_conjecture``) and of ``delta`` run on threads when the field has
+degree 22 or more: one per CPU the process may use, at most 4, the
+calling thread among them.  Most of a chunk's time is numpy work that
+releases the interpreter lock (the ``exp`` gather and the arithmetic on
+logs), so the workers overlap there.  Below degree 22 a sweep is a plain
+loop on the calling thread: threads gained nothing measurable there and
+their per-thread allocator arenas cost a few MB of resident memory.  The
+workers claim chunk starts from one shared iterator under a single lock,
+and every ``np.add.at`` into the shared count array holds the same lock
+(numpy 2.4 keeps the interpreter lock inside ``np.add.at`` anyway; the
+lock keeps the counts exact where a numpy build does not);
+``delta``'s workers sum private counts instead.  The field's tables are
+fetched once on the calling thread and handed to the workers, which call
+no public function or method.  ``spectrum_from_counts``, ``image_table``
+and the table build stay on one thread.  Results are deterministic and
+independent of chunking or thread count because every accumulation is a
+plain order-insensitive count; the tests compare threaded and one-thread
+sweeps at degree 22.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2m import BULK_CHUNK, GF2m
+
+_THREADED_MIN_DEGREE = 22   # sweeps of smaller fields stay on one thread
+_MAX_WORKERS = 4             # beyond ~3 the locked np.add.at is the bound
 
 
 def is_permutation_exponent(d: int, m: int) -> bool:
@@ -59,18 +82,20 @@ class PowerFunction:
     def eval(self, x: int) -> int:
         return self.field.pow(x, self.exponent)
 
-    def _image_chunk(self, start: int, stop: int) -> np.ndarray:
+    def _image_chunk(self, start: int, stop: int, tables) -> np.ndarray:
         """x^d for x in [start, stop), as g^(log(x) * d mod (2^m - 1)).
 
-        Slot x = 0, whose log is meaningless, is set to 0^d.  Only
-        chunk-sized temporaries are allocated.
+        ``tables`` is the field's ``(exp, log)`` pair, fetched by the
+        caller so that this method calls nothing public.  Slot x = 0, whose
+        log is meaningless, is set to 0^d.  Only chunk-sized temporaries
+        are allocated.
         """
-        exp, log = self.field.log_tables()
+        exp, log = tables
         size = self.field.order - 1
         k = log[start:stop].astype(np.int64)
         k *= self.exponent % size
         k %= size
-        out = exp[k]
+        out = np.take(exp, k)   # about 10% faster than exp[k] at m = 24
         if start == 0:
             out[0] = 1 if self.exponent == 0 else 0
         return out
@@ -78,10 +103,11 @@ class PowerFunction:
     def image_table(self) -> np.ndarray:
         """x^d for every x, as a uint32 array, ``BULK_CHUNK`` elements at a time."""
         order = self.field.order
+        tables = self.field.log_tables()
         out = np.empty(order, dtype=np.uint32)
         for start in range(0, order, BULK_CHUNK):
             stop = min(start + BULK_CHUNK, order)
-            out[start:stop] = self._image_chunk(start, stop)
+            out[start:stop] = self._image_chunk(start, stop, tables)
         return out
 
 
@@ -167,13 +193,72 @@ def derivative_table(f: PowerFunction) -> np.ndarray:
     return table
 
 
+def sweep_workers(field: GF2m) -> int:
+    """Threads a full sweep of ``field`` runs on: 1 below degree 22, else
+    one per CPU this process may run on, at most 4."""
+    if field.degree < _THREADED_MIN_DEGREE:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _sweep(field: GF2m, work) -> int:
+    """Sum of ``work(start, lock)`` over the ``BULK_CHUNK`` starts of the field.
+
+    With one worker this is a plain loop.  Otherwise ``sweep_workers(field)``
+    threads, the calling thread among them, claim starts one at a time from
+    a shared iterator under ``lock``; ``work`` takes the same lock for any
+    write to shared state and calls nothing public, since the calling
+    thread alone may.  Once every worker has stopped, the first exception any
+    of them raised is re-raised here, so no partial result escapes.
+    """
+    starts = range(0, field.order, BULK_CHUNK)
+    lock = threading.Lock()
+    workers = sweep_workers(field)
+    if workers == 1:
+        return sum(work(start, lock) for start in starts)
+
+    claim = iter(starts)
+    totals: list[int] = []
+    errors: list[BaseException] = []
+
+    def run():
+        total = 0
+        try:
+            while True:
+                with lock:
+                    start = None if errors else next(claim, None)
+                if start is None:
+                    break
+                total += work(start, lock)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+        with lock:
+            totals.append(total)
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
+
+
 def delta(f: PowerFunction, a: int, b: int) -> int:
     """Exact number of x with F(x+a) + F(x) = b, by full sweep.
 
     The sweep runs over aligned power-of-two chunks [s, s + C): there
     x ^ a ranges over the aligned chunk s ^ (a & ~(C - 1)), permuted by
     ^ (a & (C - 1)), so F(x ^ a) is one more chunk evaluation and no
-    field-sized array is built.
+    field-sized array is built.  Each worker of the sweep sums its own
+    chunks' counts.
     """
     a = f.field.check(a)
     b = f.field.check(b)
@@ -183,13 +268,15 @@ def delta(f: PowerFunction, a: int, b: int) -> int:
     size = min(BULK_CHUNK, order)
     shift = a & ~(size - 1)
     perm = np.arange(size) ^ (a & (size - 1))
-    total = 0
-    for start in range(0, order, size):
-        image = f._image_chunk(start, start + size)
+    tables = f.field.log_tables()
+
+    def count_chunk(start, lock):
+        image = f._image_chunk(start, start + size, tables)
         other = start ^ shift
-        partner = image if other == start else f._image_chunk(other, other + size)
-        total += int(np.count_nonzero((image ^ partner[perm]) == b))
-    return total
+        partner = image if other == start else f._image_chunk(other, other + size, tables)
+        return int(np.count_nonzero((image ^ partner[perm]) == b))
+
+    return _sweep(f.field, count_chunk)
 
 
 def delta_via_normalization(f: PowerFunction, a: int, b: int) -> int:
@@ -215,14 +302,23 @@ def solution_counts(f: PowerFunction) -> np.ndarray:
     ``BULK_CHUNK`` slice at a time; x and x ^ 1 share their derivative
     value and sit side by side in an even-aligned slice, so each pair
     adds 2 to its slot straight from the slice.  No derivative table or
-    int64 histogram of the field's size is built.
+    int64 histogram of the field's size is built.  Slices are evaluated
+    on the sweep's workers; the adds into the one count array hold the
+    sweep's lock.
     """
     order = f.field.order
+    tables = f.field.log_tables()
     counts = np.zeros(order, dtype=np.uint32)
     two = np.uint32(2)   # a Python int would take np.add.at's casting slow path
-    for start in range(0, order, BULK_CHUNK):
-        image = f._image_chunk(start, min(start + BULK_CHUNK, order))
-        np.add.at(counts, image[0::2] ^ image[1::2], two)
+
+    def add_chunk(start, lock):
+        image = f._image_chunk(start, min(start + BULK_CHUNK, order), tables)
+        pairs = image[0::2] ^ image[1::2]
+        with lock:
+            np.add.at(counts, pairs, two)
+        return 0
+
+    _sweep(f.field, add_chunk)
     return counts
 
 

@@ -40,6 +40,7 @@ treating the degeneracy as an error.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,29 @@ def is_family_permutation(n: int) -> bool:
     """gcd(d, q^4 - 1) = 1: x^d permutes GF(2^(4n))."""
     q = 1 << n
     return math.gcd(family_exponent(n), q ** 4 - 1) == 1
+
+def family_branches(n: int) -> dict[str, int]:
+    """How many b in GF(2^(4n)) reach each branch of the per-b dispatch.
+
+    b = 0 and b = 1 once each; the q unit-circle values other than 1; the
+    rest of GF(q^2)*; off GF(q^2): the (q^4 - q^3)/2 values with two
+    solutions, the q^2 values of norm 1 into GF(q^2) (the norm gate), the
+    q^3 - q^2 values of zero trace down to GF(q), and the other zero-count
+    values, whose pair roots leave the unit circle.  Keys follow
+    ``CaseTrace.branch``.
+    """
+    q = 1 << n
+    two = (q ** 4 - q ** 3) // 2
+    return {
+        "b0": 1,
+        "b1": 1,
+        "unit_circle": q,
+        "subfield": q * q - q - 2,
+        "quadratic2": two,
+        "quadratic0.norm_gate": q * q,
+        "quadratic0.zero_trace": q ** 3 - q * q,
+        "quadratic0.off_circle": two - q * q,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +211,21 @@ class CaseTrace:
     case: str  # "b=0" | "b=1" | "unit-circle" | "subfield" | "quadratic"
     count: int
     state: CirclePairState | None = None
+
+    @property
+    def branch(self) -> str:
+        """The dispatch branch, named as the keys of ``family_branches``;
+        the quadratic case splits by count and by which gate zeroed it."""
+        if self.case != "quadratic":
+            return {"b=0": "b0", "b=1": "b1", "unit-circle": "unit_circle",
+                    "subfield": "subfield"}[self.case]
+        if self.count == 2:
+            return "quadratic2"
+        if self.state.norm_term == 0:
+            return "quadratic0.norm_gate"
+        if self.state.pair_sum == 0:
+            return "quadratic0.zero_trace"
+        return "quadratic0.off_circle"
 
 
 def circle_pair_state(params: TheoremParams, b: int) -> CirclePairState:
@@ -493,6 +532,10 @@ class VerificationReport:
     one_b_full: bool      # exactly one b with count 2^(2n), namely b = 1
     circle_values: bool   # exactly the unit circle minus 1 at 2^(2n) - 2^n
     rest_at_most_2: bool  # every remaining b has count <= 2
+    # Kept out of the payload: how many b reached each dispatch branch, and
+    # the seconds each phase of the check took.
+    branches: dict[str, int]
+    timings: dict[str, float]
 
     @property
     def passed(self) -> bool:
@@ -503,6 +546,7 @@ class VerificationReport:
             and self.one_b_full
             and self.circle_values
             and self.rest_at_most_2
+            and self.branches == family_branches(self.params.n)
         )
 
     def to_json_dict(self) -> dict:
@@ -533,17 +577,39 @@ def verify_conjecture(params: TheoremParams) -> VerificationReport:
     evaluates the three clauses of the claimed count distribution
     (one b with 2^(2n) solutions and it is b = 1; the 2^n unit-circle
     values minus 1 at 2^(2n) - 2^n, degenerating into the count-2 bucket
-    at n = 1; at most 2 everywhere else).
+    at n = 1; at most 2 everywhere else).  It also tallies the dispatch
+    branch of every b, which must equal ``family_branches(n)``, and times
+    each phase (tables, brute, closed_form, structured, compare).
     """
     n, q = params.n, params.q
     order = params.field.order
     f = params.power_function()
+    timings: dict[str, float] = {}
+    mark = time.perf_counter()
+
+    def lap(phase: str):
+        nonlocal mark
+        now = time.perf_counter()
+        timings[phase] = now - mark
+        mark = now
+
+    params.field.log_tables()
+    lap("tables")
     per_b = solution_counts(f)
     brute = spectrum_from_counts(per_b, f)
+    lap("brute")
     closed = spectrum_closed_form(params)
+    lap("closed_form")
 
-    structured_counts = np.array([delta_structured(params, b) for b in range(order)])
+    branches = dict.fromkeys(family_branches(n), 0)
+    counts = []
+    for b in range(order):
+        trace = case_trace(params, b)
+        counts.append(trace.count)
+        branches[trace.branch] += 1
+    structured_counts = np.array(counts)
     structured = spectrum_from_counts(structured_counts, f)
+    lap("structured")
     mismatches = [
         (b, int(structured_counts[b]), int(per_b[b]))
         for b in np.flatnonzero(structured_counts != per_b).tolist()
@@ -569,6 +635,7 @@ def verify_conjecture(params: TheoremParams) -> VerificationReport:
     rest = ~circle
     rest[1] = False
     remaining_ok = bool(np.all(per_b[rest] <= 2))
+    lap("compare")
 
     return VerificationReport(
         params=params,
@@ -579,4 +646,6 @@ def verify_conjecture(params: TheoremParams) -> VerificationReport:
         one_b_full=one_b_full,
         circle_values=circle_values,
         rest_at_most_2=remaining_ok,
+        branches=branches,
+        timings=timings,
     )

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from diffspec.cli import main
+import diffspec.theorem as theorem
+from diffspec.cli import EXIT_VERIFY_FAILED, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +144,20 @@ def test_output_byte_identical_to_golden(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_verify_failure_has_its_own_exit_code(capsys, monkeypatch):
+    # n = 2 tables with one corrupted antilog entry: the brute route then
+    # disagrees with the structured one, and verify must say so.
+    planted = theorem.TheoremParams(2)
+    exp, _ = planted.field.log_tables()
+    exp[5] ^= 1
+    monkeypatch.setattr(theorem, "TheoremParams", lambda n, modulus=None: planted)
+    code, out, _ = run_cli(capsys, "verify", "--n", "2")
+    assert code == EXIT_VERIFY_FAILED == 5
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["mismatches"]
+
+
 def test_verify_requires_n(capsys):
     assert run_cli(capsys, "verify", "--m", "8", "--d", "83")[0] == 1
 
@@ -244,8 +259,23 @@ def test_log_appends_reproducible_records(capsys, tmp_path):
     records = [json.loads(line) for line in lines]
     for rec in records:
         assert {"timestamp", "duration_s", "config", "payload"} <= set(rec)
+        assert rec["diagnostics"]["peak_rss_mb"] > 0
     assert records[0]["payload"] == records[1]["payload"]
     assert records[0]["config"] == records[1]["config"]
+
+
+def test_verify_log_explains_the_run(capsys, tmp_path):
+    log = tmp_path / "runs.ndjson"
+    code, out, _ = run_cli(capsys, "verify", "--n", "2", "--log", str(log))
+    assert code == 0
+    assert out == (GOLDEN / "verify_n2.json").read_text()
+    diag = json.loads(log.read_text())["diagnostics"]
+    assert set(diag["phases_s"]) == {
+        "field", "tables", "brute", "closed_form", "structured", "compare",
+    }
+    assert diag["branches"] == theorem.family_branches(2)
+    assert diag["sweep_workers"] == 1   # m = 8 sweeps on the calling thread
+    assert diag["peak_rss_mb"] > 0
 
 
 def test_spectrum_csv_matches_json(capsys):

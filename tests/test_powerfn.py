@@ -1,9 +1,14 @@
+import inspect
+import os
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import diffspec.powerfn as powerfn
 from diffspec.gf2m import BULK_CHUNK, GF2m
 from diffspec.powerfn import (
     PowerFunction,
@@ -289,3 +294,115 @@ def test_spectrum_json_shape(f256):
     keys = [int(k) for k in payload["spectrum"]]
     assert keys == sorted(keys)
     assert payload["uniformity"] == 16
+
+
+# -- threaded sweeps -------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def f22():
+    """GF(2^22) with its tables, the smallest degree whose sweeps use threads."""
+    fld = GF2m(22)
+    fld.log_tables()
+    return fld
+
+
+def with_workers(monkeypatch, workers, fn):
+    with monkeypatch.context() as patch:
+        patch.setattr(powerfn, "sweep_workers", lambda field: workers)
+        return fn()
+
+
+def test_sweep_threads_only_from_degree_22():
+    assert powerfn.sweep_workers(GF2m(20)) == 1
+    assert powerfn.sweep_workers(GF2m(21)) == 1
+    assert powerfn.sweep_workers(GF2m(22)) == min(len(os.sched_getaffinity(0)), 4)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_threaded_solution_counts_match_one_worker(f22, monkeypatch, workers):
+    order = f22.order
+    rng = random.Random(22)
+    inverse = order - 2
+    for d in (0, 1, 1 << rng.randrange(1, 22), order - 1, 3 * (order - 1), inverse,
+              rng.randrange(2, order), rng.randrange(2, order * order)):
+        f = PowerFunction(f22, d)
+        serial = with_workers(monkeypatch, 1, lambda: solution_counts(f))
+        threaded = with_workers(monkeypatch, workers, lambda: solution_counts(f))
+        assert threaded.dtype == np.uint32
+        assert np.array_equal(threaded, serial), d
+
+
+def test_threaded_delta_matches_one_worker(f22, monkeypatch):
+    f = PowerFunction(f22, 1 + 2**11)
+    rng = random.Random(2022)
+    image = f.image_table()
+    for a in (1, BULK_CHUNK - 1, BULK_CHUNK + 5, rng.randrange(BULK_CHUNK, f22.order)):
+        b = int(image[a] ^ image[0])   # F(0 + a) + F(0): hit at least twice
+        serial = with_workers(monkeypatch, 1, lambda: delta(f, a, b))
+        threaded = with_workers(monkeypatch, 2, lambda: delta(f, a, b))
+        assert threaded == serial >= 2, (a, b)
+
+
+@pytest.mark.parametrize("bad_start", [0, 7 * BULK_CHUNK, 15 * BULK_CHUNK])
+def test_threaded_sweep_reraises_a_chunk_failure(monkeypatch, bad_start):
+    f = PowerFunction(GF2m(20), 7)
+    original = PowerFunction._image_chunk
+
+    def planted(self, start, stop, tables):
+        if start == bad_start:
+            raise RuntimeError(f"planted failure at {start}")
+        return original(self, start, stop, tables)
+
+    before = threading.active_count()
+    monkeypatch.setattr(PowerFunction, "_image_chunk", planted)
+    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 2)
+    with pytest.raises(RuntimeError, match=f"planted failure at {bad_start}"):
+        solution_counts(f)
+    with pytest.raises(RuntimeError, match="planted failure"):
+        delta(f, 1, 0)
+    assert threading.active_count() == before
+
+
+def test_threaded_sweep_calls_public_code_from_the_caller_only(f22, monkeypatch):
+    # Workers must touch only the tables handed to them: public methods of
+    # GF2m and PowerFunction (log_tables, check, eval, ...) run on the
+    # calling thread alone.
+    seen = []
+    for cls in (GF2m, PowerFunction):
+        for name, fn in list(vars(cls).items()):
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+
+            def recording(*args, _fn=fn, **kwargs):
+                seen.append(threading.get_ident())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, recording)
+    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 2)
+    f = PowerFunction(f22, 1 + 2**11)
+    solution_counts(f)
+    delta(f, BULK_CHUNK + 3, 0x1234)
+    assert seen and set(seen) == {threading.get_ident()}
+
+
+def test_threaded_sweep_stress_with_fast_switching(monkeypatch):
+    # More workers than cores and a short switch interval: a lost update to
+    # the shared counts or a chunk claimed twice or never would change them.
+    f = PowerFunction(GF2m(20), 1 + 2**10)
+    serial = solution_counts(f)
+    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(solution_counts(f), serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_sweep_memory_bound(f22, monkeypatch, peak_traced_bytes):
+    # The uint32 counts (16 MiB at m = 22) plus about 1 MiB of chunk
+    # temporaries per worker; tracemalloc sees every thread's allocations.
+    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 4)
+    f = PowerFunction(f22, 1 + 2**11)
+    assert peak_traced_bytes(lambda: spectrum_brute(f)) <= 20 * 2**20

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from diffspec.theorem import (
     circle_witnesses,
     congruence_holds,
     delta_structured,
+    family_branches,
     family_exponent,
     find_circle_scale,
     is_family_permutation,
@@ -304,6 +307,7 @@ def test_spectrum_closed_form_sum_identities(make_params):
         s = spectrum_closed_form(make_params(n))
         assert s.count_total() == 1 << (4 * n)
         assert s.solution_total() == 1 << (4 * n)
+        assert sum(family_branches(n).values()) == 1 << (4 * n)
 
 
 def test_spectrum_closed_form_matches_brute(make_params):
@@ -318,6 +322,20 @@ def test_verify_conjecture_passes(make_params):
         assert report.passed
         assert report.mismatches == []
         assert report.one_b_full and report.circle_values and report.rest_at_most_2
+
+
+def test_verify_report_branches_and_timings(make_params):
+    for n in (1, 2):
+        report = verify_conjecture(make_params(n))
+        assert report.branches == family_branches(n)
+        assert set(report.timings) == {"tables", "brute", "closed_form", "structured", "compare"}
+        assert all(t >= 0 for t in report.timings.values())
+    # The branch clause is live: one b counted under a neighbouring branch
+    # fails the report even though every count still agrees.
+    moved = dict(report.branches)
+    moved["quadratic2"] -= 1
+    moved["quadratic0.off_circle"] += 1
+    assert not dataclasses.replace(report, branches=moved).passed
 
 
 def test_verify_report_json_schema(make_params):
