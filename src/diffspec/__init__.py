@@ -7,7 +7,8 @@ can check each other:
   histograms the hit counts (the brute-force oracle, for any exponent);
 * :mod:`diffspec.theorem` counts solutions per output value b with a few
   field operations, for the exponent family d = 2^(3n) + 2^(2n) + 2^n - 1
-  over GF(2^(4n)), and also emits the spectrum in closed form;
+  over GF(2^(4n)) (``case_trace`` for one b, ``structured_counts`` for
+  every b), and also emits the spectrum in closed form;
 * :func:`diffspec.theorem.verify_conjecture` runs all of the above and
   reports any disagreement.
 
@@ -23,8 +24,6 @@ from .powerfn import (
     delta,
     delta_via_normalization,
     derivative_table,
-    differential_uniformity,
-    is_permutation_exponent,
     solution_set,
     spectrum_brute,
 )
@@ -35,11 +34,11 @@ from .theorem import (
     TheoremParams,
     VerificationReport,
     case_trace,
-    delta_structured,
     solutions_for_one,
     solutions_off_subfield,
     solutions_on_circle,
     spectrum_closed_form,
+    structured_counts,
     unit_circle,
     verify_conjecture,
 )
@@ -55,8 +54,6 @@ __all__ = [
     "delta",
     "delta_via_normalization",
     "derivative_table",
-    "differential_uniformity",
-    "is_permutation_exponent",
     "solution_set",
     "spectrum_brute",
     "TheoremParams",
@@ -65,11 +62,11 @@ __all__ = [
     "CircleWitness",
     "VerificationReport",
     "case_trace",
-    "delta_structured",
     "solutions_for_one",
     "solutions_off_subfield",
     "solutions_on_circle",
     "spectrum_closed_form",
+    "structured_counts",
     "unit_circle",
     "verify_conjecture",
     "GuardExceededError",

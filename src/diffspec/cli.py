@@ -6,12 +6,13 @@ instance), ``delta`` (query one difference count, with the structured
 case trace when it applies), and ``field-info`` (instance facts).
 
 Instances are selected either by ``--n`` (the exponent-family instance
-over GF(2^(4n))) or by ``--m``/``--d`` (any power function).  Elements
-on the command line are hex bit vectors of the polynomial-basis
-encoding.  Exit codes: 0 success (and, for verify, pass), 1 validation
-error, 2 guard exceeded, 3 a structured-solver claim failed, 4 the
-``--out`` or ``--log`` file could not be written, 5 verify ran and
-reported ``pass: false``.
+over GF(2^(4n))) or by ``--m``/``--d`` (any power function).  ``verify``
+takes only ``--n`` and has no ``--method``: it always runs all three
+routes.  Elements on the command line are hex bit vectors of the
+polynomial-basis encoding.  Exit codes: 0 success (and, for verify,
+pass), 1 validation error, 2 guard exceeded, 3 a structured-solver claim
+failed, 4 the ``--out`` or ``--log`` file could not be written, 5 verify
+ran and reported ``pass: false``.
 
 The environment variable ``DIFFSPEC_MAX_M`` may lower (never raise) the
 built-in m <= 24 guard.  Identical configurations produce byte-identical
@@ -31,7 +32,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import powerfn, theorem
@@ -122,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log", help="append a JSON run record to this file")
 
     add_common(sub.add_parser("spectrum", help="compute a differential spectrum"))
-    add_common(sub.add_parser("verify", help="three-way spectrum cross-check"))
+    add_common(sub.add_parser("verify", help="three-way spectrum cross-check"),
+               with_method=False)
     p_delta = sub.add_parser("delta", help="one difference count delta(a, b)")
     add_common(p_delta, with_method=False)
     p_delta.add_argument("--a", type=_hex_int, metavar="0xHEX", required=True)
@@ -159,6 +161,8 @@ def _resolve(args) -> RunConfig:
     )
     if (cfg.n is None) == (cfg.m is None):
         raise _UsageError("select an instance with exactly one of --n or --m/--d")
+    if cfg.command == "verify" and cfg.n is None:
+        raise _UsageError("verify needs the --n instance selector")
     max_m = _effective_max_m()
     if cfg.n is not None:
         if cfg.n < 1:
@@ -196,7 +200,7 @@ def _spectrum_payload(cfg: RunConfig, diagnostics: dict) -> dict:
             return powerfn.spectrum_brute(f)
         if method == "closed-form":
             return theorem.spectrum_closed_form(params)
-        counts = [theorem.delta_structured(params, b) for b in f.field.elements()]
+        counts, _ = theorem.structured_counts(params)
         return powerfn.spectrum_from_counts(counts, f)
 
     if cfg.method != "all":
@@ -220,8 +224,6 @@ def _spectrum_payload(cfg: RunConfig, diagnostics: dict) -> dict:
 
 
 def _verify_payload(cfg: RunConfig, diagnostics: dict) -> dict:
-    if cfg.n is None:
-        raise _UsageError("verify needs the --n instance selector")
     start = time.perf_counter()
     params = theorem.TheoremParams(cfg.n, cfg.modulus)
     field_s = time.perf_counter() - start
@@ -283,8 +285,8 @@ def _field_info_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     if params is not None:
         payload.update(
             n=params.n,
-            niho=theorem.is_niho(params),
-            congruence=theorem.check_congruence(params),
+            niho=theorem.is_niho_exponent(params.n),
+            congruence=theorem.congruence_holds(params.n),
             mu_q_plus_1=len(theorem.unit_circle(params)),
         )
     else:
@@ -432,13 +434,7 @@ def main(argv=None) -> int:
             print(text)
         if cfg.log:
             with open(cfg.log, "a") as fh:
-                fh.write(json.dumps({
-                    "timestamp": record.timestamp,
-                    "duration_s": record.duration_s,
-                    "config": record.config,
-                    "payload": record.payload,
-                    "diagnostics": record.diagnostics,
-                }) + "\n")
+                fh.write(json.dumps(asdict(record)) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

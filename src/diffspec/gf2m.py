@@ -30,8 +30,6 @@ schoolbook scalar path.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import GuardExceededError
@@ -341,14 +339,7 @@ class GF2m:
 
     def abs_trace(self, a: int) -> int:
         """Absolute trace to F2: sum of a^(2^i) for i < m, returned as 0/1."""
-        a = self.check(a)
-        t = a
-        cur = a
-        for _ in range(self.degree - 1):
-            cur = self.mul(cur, cur)
-            t ^= cur
-        assert t <= 1
-        return t
+        return self._trace_sum(self.check(a), self.degree)
 
     def rel_trace(self, a: int, sub_degree: int) -> int:
         """Relative trace into the degree-`sub_degree` subfield.
@@ -374,9 +365,13 @@ class GF2m:
         self._check_sub_degree(sub_degree)
         if not self.in_subfield(a, sub_degree):
             raise ValueError(f"0x{a:x} is not in the degree-{sub_degree} subfield")
-        t = a
-        cur = a
-        for _ in range(sub_degree - 1):
+        return self._trace_sum(a, sub_degree)
+
+    def _trace_sum(self, a: int, terms: int) -> int:
+        """a + a^2 + ... + a^(2^(terms-1)): the absolute trace of
+        GF(2^terms) for a member of that subfield, a value in {0, 1}."""
+        t = cur = a
+        for _ in range(terms - 1):
             cur = self.mul(cur, cur)
             t ^= cur
         assert t <= 1
@@ -504,8 +499,3 @@ class GF2m:
             if scalar & self.order:
                 scalar ^= self.modulus
         return images
-
-
-def mu_order(s: int, m: int) -> int:
-    """Size of mu_s inside GF(2^m)^*: gcd(s, 2^m - 1)."""
-    return math.gcd(s, (1 << m) - 1)

@@ -38,7 +38,6 @@ sweeps at degree 22.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -49,11 +48,6 @@ from .gf2m import BULK_CHUNK, GF2m
 
 _THREADED_MIN_DEGREE = 22   # sweeps of smaller fields stay on one thread
 _MAX_WORKERS = 4             # beyond ~3 the locked np.add.at is the bound
-
-
-def is_permutation_exponent(d: int, m: int) -> bool:
-    """True when x^d permutes GF(2^m)^*, i.e. gcd(d, 2^m - 1) = 1."""
-    return math.gcd(d, (1 << m) - 1) == 1
 
 
 class PowerFunction:
@@ -325,8 +319,3 @@ def solution_counts(f: PowerFunction) -> np.ndarray:
 def spectrum_brute(f: PowerFunction) -> Spectrum:
     """Differential spectrum via the one-pass image histogram."""
     return spectrum_from_counts(solution_counts(f), f)
-
-
-def differential_uniformity(f: PowerFunction) -> int:
-    """Max delta(a, b) over nonzero a; one row suffices for a monomial."""
-    return spectrum_brute(f).uniformity

@@ -4,7 +4,7 @@ For q = 2^n the exponent d = q^3 + q^2 + q - 1 over GF(2^(4n)) has a
 completely determined differential spectrum, and this module implements
 the determination as executable machinery rather than as a sweep:
 
-* ``delta_structured`` counts the solutions of (x+1)^d + x^d = b with a
+* ``case_trace`` counts the solutions of (x+1)^d + x^d = b with a
   handful of field operations per b, by dispatching on where b lives:
 
   - b = 0: no solutions (d is coprime to the group order, so the
@@ -15,6 +15,9 @@ the determination as executable machinery rather than as a sweep:
   - any other b in GF(q^2): no solutions.
   - b outside GF(q^2): 0 or 2 solutions, decided by whether a certain
     monic quadratic has its roots on the unit circle.
+
+* ``structured_counts`` runs that dispatch over the whole field, the one
+  loop behind ``verify_conjecture`` and ``spectrum --method structured``.
 
 * ``solutions_for_one`` / ``solutions_on_circle`` /
   ``solutions_off_subfield`` construct the actual solution sets for the
@@ -151,12 +154,6 @@ class TheoremParams:
         """(x+1)^d + x^d."""
         fld = self.field
         return fld.pow(x ^ 1, self.d) ^ fld.pow(x, self.d)
-
-def check_congruence(params: TheoremParams) -> bool:
-    return congruence_holds(params.n)
-
-def is_niho(params: TheoremParams) -> bool:
-    return is_niho_exponent(params.n)
 
 def unit_circle(params: TheoremParams) -> set[int]:
     """mu_(q+1), the norm-1 subgroup of GF(q^2) over GF(q); q+1 elements."""
@@ -317,9 +314,19 @@ def case_trace(params: TheoremParams, b: int) -> CaseTrace:
     return CaseTrace(b, "quadratic", len(state.circle_roots), state)
 
 
-def delta_structured(params: TheoremParams, b: int) -> int:
-    """Solution count of (x+1)^d + x^d = b without sweeping over x."""
-    return case_trace(params, b).count
+def structured_counts(params: TheoremParams) -> tuple[np.ndarray, dict[str, int]]:
+    """The ``case_trace`` count of every b, and how many b reached each branch.
+
+    Counts come back as an int64 array indexed by b; the branch tally is
+    keyed like ``family_branches``.  No sweep over x is made.
+    """
+    branches = dict.fromkeys(family_branches(params.n), 0)
+    counts = []
+    for b in range(params.field.order):
+        trace = case_trace(params, b)
+        counts.append(trace.count)
+        branches[trace.branch] += 1
+    return np.array(counts), branches
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +608,12 @@ def verify_conjecture(params: TheoremParams) -> VerificationReport:
     closed = spectrum_closed_form(params)
     lap("closed_form")
 
-    branches = dict.fromkeys(family_branches(n), 0)
-    counts = []
-    for b in range(order):
-        trace = case_trace(params, b)
-        counts.append(trace.count)
-        branches[trace.branch] += 1
-    structured_counts = np.array(counts)
-    structured = spectrum_from_counts(structured_counts, f)
+    counts, branches = structured_counts(params)
+    structured = spectrum_from_counts(counts, f)
     lap("structured")
     mismatches = [
-        (b, int(structured_counts[b]), int(per_b[b]))
-        for b in np.flatnonzero(structured_counts != per_b).tolist()
+        (b, int(counts[b]), int(per_b[b]))
+        for b in np.flatnonzero(counts != per_b).tolist()
     ]
 
     full = q * q

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+import diffspec.theorem as theorem
 from diffspec.theorem import TheoremParams
 
 
@@ -17,6 +18,20 @@ def make_params():
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def case_trace_calls(monkeypatch):
+    """The b of every ``theorem.case_trace`` call made during the test."""
+    calls = []
+    real = theorem.case_trace
+
+    def counted(params, b):
+        calls.append(b)
+        return real(params, b)
+
+    monkeypatch.setattr(theorem, "case_trace", counted)
+    return calls
 
 
 @pytest.fixture

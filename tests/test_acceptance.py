@@ -19,9 +19,9 @@ from diffspec.powerfn import (
     spectrum_brute,
 )
 from diffspec.theorem import (
+    case_trace,
     circle_pair_state,
     congruence_holds,
-    delta_structured,
     family_exponent,
     is_family_permutation,
     is_niho_exponent,
@@ -121,7 +121,7 @@ def test_criterion_06_oracle_equivalence(make_params):
         per_b = np.bincount(derivative_table(p.power_function()),
                             minlength=p.field.order)
         for b in range(p.field.order):
-            assert delta_structured(p, b) == int(per_b[b])
+            assert case_trace(p, b).count == int(per_b[b])
         checked += p.field.order
     elapsed = time.monotonic() - start
     assert checked == 16 + 256 + 4096
@@ -231,6 +231,9 @@ def test_criterion_10_modulus_independence():
 
 
 def test_criterion_11_sum_identities_for_every_spectrum(make_params):
+    # sum_i omega_i = sum_i i * omega_i = 2^m for any power function:
+    # Blondeau, Canteaut and Charpin, "Differential properties of power
+    # functions" (2010).
     for n in (1, 2, 3):
         p = make_params(n)
         collected_spectra.append(spectrum_closed_form(p))

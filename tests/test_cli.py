@@ -137,6 +137,9 @@ def test_verify_csv_matches_json(capsys):
     (("verify", "--n", "2"), "verify_n2.json"),
     (("verify", "--n", "3"), "verify_n3.json"),
     (("spectrum", "--m", "20", "--d", "7", "--method", "brute"), "spectrum_m20_d7_brute.json"),
+    (("spectrum", "--n", "2", "--method", "all"), "spectrum_n2_all.json"),
+    (("spectrum", "--n", "2", "--method", "structured"), "spectrum_n2_structured.json"),
+    (("field-info", "--n", "2"), "field_info_n2.json"),
 ])
 def test_output_byte_identical_to_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -160,6 +163,18 @@ def test_verify_failure_has_its_own_exit_code(capsys, monkeypatch):
 
 def test_verify_requires_n(capsys):
     assert run_cli(capsys, "verify", "--m", "8", "--d", "83")[0] == 1
+    code, _, err = run_cli(capsys, "verify", "--m", "8", "--d", "3")
+    assert code == 1
+    assert err == "error: verify needs the --n instance selector\n"
+
+
+def test_verify_takes_no_method(capsys):
+    assert run_cli(capsys, "verify", "--n", "1", "--method", "brute")[0] == 1
+
+
+def test_structured_spectrum_calls_case_trace_once_per_b(capsys, case_trace_calls):
+    run_json(capsys, "spectrum", "--n", "2", "--method", "structured")
+    assert sorted(case_trace_calls) == list(range(256))
 
 
 # -- delta -------------------------------------------------------------------------
@@ -269,7 +284,10 @@ def test_verify_log_explains_the_run(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--n", "2", "--log", str(log))
     assert code == 0
     assert out == (GOLDEN / "verify_n2.json").read_text()
-    diag = json.loads(log.read_text())["diagnostics"]
+    record = json.loads(log.read_text())
+    assert list(record) == ["timestamp", "duration_s", "config", "payload", "diagnostics"]
+    assert record["config"] == {"command": "verify", "method": "all", "format": "json", "n": 2}
+    diag = record["diagnostics"]
     assert set(diag["phases_s"]) == {
         "field", "tables", "brute", "closed_form", "structured", "compare",
     }

@@ -8,7 +8,6 @@ from diffspec.gf2m import (
     GF2m,
     find_factor,
     is_irreducible,
-    mu_order,
     poly_str,
     smallest_irreducible,
 )
@@ -266,7 +265,6 @@ def test_in_mu(f256):
     assert f256.in_mu(1, 7)
     assert not f256.in_mu(0, 7)
     assert sum(f256.in_mu(a, 5) for a in f256.elements()) == 5   # q+1 with q=4
-    assert mu_order(5, 8) == 5
 
 
 def test_in_subfield(f256):

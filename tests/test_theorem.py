@@ -2,28 +2,28 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffspec.errors import GuardExceededError, TheoremViolationError
 from diffspec.gf2m import GF2m
-from diffspec.powerfn import derivative_table, solution_set, spectrum_brute
+from diffspec.powerfn import delta, derivative_table, solution_set, spectrum_brute
 from diffspec.theorem import (
     TheoremParams,
     case_trace,
-    check_congruence,
     circle_pair_state,
     circle_witnesses,
     congruence_holds,
-    delta_structured,
     family_branches,
     family_exponent,
     find_circle_scale,
     is_family_permutation,
-    is_niho,
     is_niho_exponent,
     solutions_for_one,
     solutions_off_subfield,
     solutions_on_circle,
     spectrum_closed_form,
+    structured_counts,
     unit_circle,
     verify_conjecture,
 )
@@ -49,7 +49,7 @@ def test_params_construction(make_params):
         assert p.m == 4 * n
         assert p.d == family_exponent(n)
         assert p.field.degree == 4 * n
-        assert check_congruence(p) and is_niho(p)
+        assert congruence_holds(p.n) and is_niho_exponent(p.n)
 
 
 def test_params_validation():
@@ -98,8 +98,8 @@ def test_unit_circle(make_params):
 def test_delta_structured_fixed_points(make_params):
     for n in (1, 2, 3):
         p = make_params(n)
-        assert delta_structured(p, 0) == 0
-        assert delta_structured(p, 1) == p.q * p.q
+        assert case_trace(p, 0).count == 0
+        assert case_trace(p, 1).count == p.q * p.q
 
 
 def test_delta_structured_matches_brute_exhaustively(make_params):
@@ -107,7 +107,31 @@ def test_delta_structured_matches_brute_exhaustively(make_params):
         p = make_params(n)
         per_b = brute_counts(p)
         for b in range(p.field.order):
-            assert delta_structured(p, b) == int(per_b[b])
+            assert case_trace(p, b).count == int(per_b[b])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_case_trace_count_matches_delta_property(make_params, n, data):
+    p = make_params(n)
+    b = data.draw(st.integers(0, p.field.order - 1), label="b")
+    assert case_trace(p, b).count == delta(p.power_function(), 1, b)
+
+
+@pytest.mark.parametrize("n,modulus", [(1, None), (2, None), (3, None), (2, 0x11D)])
+def test_structured_counts_is_case_trace_for_every_b(make_params, n, modulus):
+    p = make_params(n, modulus)
+    counts, branches = structured_counts(p)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [case_trace(p, b).count for b in range(p.field.order)]
+    assert branches == family_branches(n)
+
+
+def test_verify_calls_case_trace_once_per_b(make_params, case_trace_calls):
+    p = make_params(2)
+    assert verify_conjecture(p).passed
+    assert sorted(case_trace_calls) == list(range(p.field.order))
 
 
 def test_case_labels(make_params):
@@ -141,7 +165,7 @@ def test_norm_gate_branch(make_params):
             state = circle_pair_state(p, b)
             assert state.norm_term == 0
             assert state.circle_roots == ()
-            assert delta_structured(p, b) == 0 == int(per_b[b])
+            assert case_trace(p, b).count == 0 == int(per_b[b])
 
 
 def test_zero_trace_branch(make_params):
@@ -157,7 +181,7 @@ def test_zero_trace_branch(make_params):
             if fld.rel_trace(b, n) == 0 and fld.pow(b, p.q ** 2 + 1) != 1:
                 state = circle_pair_state(p, b)
                 assert state.pair_sum == 0
-                assert delta_structured(p, b) == 0 == int(per_b[b])
+                assert case_trace(p, b).count == 0 == int(per_b[b])
                 hit += 1
         assert hit > 0
 
@@ -368,3 +392,52 @@ def test_unsplit_pair_quadratic_raises_theorem_channel(make_params, monkeypatch)
     monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: ())
     with pytest.raises(TheoremViolationError, match="does not split"):
         case_trace(p, b)
+
+
+# -- planted faults on the structured path ---------------------------------------
+
+def assert_fault_caught(params):
+    """A planted fault must trip a claim, or fail the report with per-b
+    mismatches or a failed count clause; it must never pass silently."""
+    try:
+        report = verify_conjecture(params)
+    except TheoremViolationError:
+        return
+    assert not report.passed
+    clauses = report.one_b_full and report.circle_values and report.rest_at_most_2
+    assert report.mismatches or not clauses
+
+
+@pytest.mark.parametrize("step", [-2, -1, 1, 2])
+def test_planted_neighbouring_exponent_fails_verify(step):
+    p = TheoremParams(2)
+    p.d += step
+    assert_fault_caught(p)
+
+
+def test_planted_frobenius_fault_fails_verify(monkeypatch):
+    p = TheoremParams(2)
+    real = GF2m.frobenius_pow
+    # One squaring short.
+    monkeypatch.setattr(GF2m, "frobenius_pow",
+                        lambda self, a, k: real(self, a, k - 1) if k else self.check(a))
+    assert_fault_caught(p)
+
+
+def test_planted_quadratic_fault_fails_verify(monkeypatch):
+    p = TheoremParams(2)
+    real = GF2m.solve_quadratic
+    # The first root only.
+    monkeypatch.setattr(GF2m, "solve_quadratic",
+                        lambda self, beta, gamma: real(self, beta, gamma)[:1])
+    assert_fault_caught(p)
+
+
+@pytest.mark.parametrize("modulus", [0x11D, 0x12B])
+def test_planted_modulus_swap_fails_verify(modulus):
+    # The tables keep the 0x11b field; the scalar arithmetic moves to an
+    # isomorphic one, so the spectra agree but the per-b counts do not.
+    p = TheoremParams(2)
+    p.field.log_tables()
+    p.field.modulus = modulus
+    assert_fault_caught(p)
