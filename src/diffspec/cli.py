@@ -12,7 +12,10 @@ routes.  Elements on the command line are hex bit vectors of the
 polynomial-basis encoding.  Exit codes: 0 success (and, for verify,
 pass), 1 validation error, 2 guard exceeded, 3 a structured-solver claim
 failed, 4 the ``--out`` or ``--log`` file could not be written, 5 verify
-ran and reported ``pass: false``.
+ran and reported ``pass: false``, or ``spectrum --method all`` reported
+``agree: false``.  That ``agree`` needs the brute and structured counts to
+match for every b, not only the three spectra: equal histograms can hide
+counts moved between b.
 
 The environment variable ``DIFFSPEC_MAX_M`` may lower (never raise) the
 built-in m <= 24 guard.  Identical configurations produce byte-identical
@@ -35,9 +38,11 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import powerfn, theorem
 from .errors import GuardExceededError, TheoremViolationError
-from .gf2m import GF2m, MAX_DEGREE
+from .gf2m import GF2m, MAX_DEGREE, sweep_workers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -66,7 +71,7 @@ class RunConfig:
     m: int | None = None
     d: int | None = None
     modulus: int | None = None
-    method: str = "brute"
+    method: str | None = None
     fmt: str = "json"
     out: str | None = None
     log: str | None = None
@@ -74,7 +79,10 @@ class RunConfig:
     b: int | None = None
 
     def echo(self) -> dict:
-        cfg = {"command": self.command, "method": self.method, "format": self.fmt}
+        cfg = {"command": self.command}
+        if self.method is not None:
+            cfg["method"] = self.method
+        cfg["format"] = self.fmt
         if self.n is not None:
             cfg["n"] = self.n
         if self.m is not None:
@@ -152,7 +160,7 @@ def _resolve(args) -> RunConfig:
         d=args.d,
         modulus=args.modulus,
         method=getattr(args, "method", None) or
-               ("all" if args.command == "verify" else "brute"),
+               {"spectrum": "brute", "verify": "all"}.get(args.command),
         fmt=args.fmt,
         out=args.out,
         log=args.log,
@@ -195,24 +203,26 @@ def _make_instance(cfg: RunConfig):
 def _spectrum_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     params, f = _make_instance(cfg)
 
-    def compute(method: str) -> powerfn.Spectrum:
-        if method == "brute":
-            return powerfn.spectrum_brute(f)
-        if method == "closed-form":
-            return theorem.spectrum_closed_form(params)
-        counts, _ = theorem.structured_counts(params)
-        return powerfn.spectrum_from_counts(counts, f)
+    counts = {}
+    if cfg.method in ("brute", "all"):
+        counts["brute"] = powerfn.solution_counts(f)
+    if cfg.method in ("structured", "all"):
+        counts["structured"], _ = theorem.structured_counts(params)
+    methods = {name: powerfn.spectrum_from_counts(c, f) for name, c in counts.items()}
+    if cfg.method in ("closed-form", "all"):
+        methods["closed-form"] = theorem.spectrum_closed_form(params)
 
     if cfg.method != "all":
-        return {**compute(cfg.method).to_json_dict(), "method": cfg.method}
+        return {**methods[cfg.method].to_json_dict(), "method": cfg.method}
 
-    methods = {name: compute(name) for name in ("brute", "structured", "closed-form")}
     first = methods["brute"]
+    agree = (np.array_equal(counts["brute"], counts["structured"])
+             and all(s.entries == first.entries for s in methods.values()))
     return {
         "m": first.m,
         "d": first.d,
         "poly": f"0x{first.poly:x}",
-        "agree": all(s.entries == first.entries for s in methods.values()),
+        "agree": agree,
         "methods": {
             name.replace("-", "_"): {
                 "spectrum": {str(i): c for i, c in sorted(s.entries.items())},
@@ -231,7 +241,7 @@ def _verify_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     diagnostics.update(
         phases_s={k: round(v, 6) for k, v in {"field": field_s, **report.timings}.items()},
         branches=report.branches,
-        sweep_workers=powerfn.sweep_workers(params.field),
+        sweep_workers=sweep_workers(params.field),
     )
     return report.to_json_dict()
 
@@ -439,7 +449,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if cfg.command == "verify" and not record.payload["pass"]:
+    if not record.payload.get("pass", True) or not record.payload.get("agree", True):
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

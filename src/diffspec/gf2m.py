@@ -26,9 +26,24 @@ degree-24 tables take well under a second.  Bulk loops run in chunks of
 ``BULK_CHUNK`` elements, which bounds their temporaries.  The table path
 must (and does; the test suite checks) agree bit-for-bit with the
 schoolbook scalar path.
+
+From degree 22 the bulk loops run on threads: ``_sweep`` hands the
+``BULK_CHUNK`` slices of a range to ``sweep_workers(field)`` threads, one
+per CPU in the affinity mask, at most 4, the calling thread among them.
+The table build uses it for each doubling step (the slices write disjoint
+parts of ``exp``) and for the ``log`` scatter (disjoint because ``exp`` is
+a permutation); :mod:`diffspec.powerfn` uses the same helper for its
+sweeps.  Workers call only private code, so every public function and
+method runs on the calling thread.  The first exception of any worker is
+re-raised once all have joined.  Below degree 22 every loop is a plain
+loop on the calling thread: threads gained nothing measurable there and
+their per-thread allocator arenas cost a few MB of resident memory.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -37,6 +52,8 @@ from .errors import GuardExceededError
 MIN_DEGREE = 4
 MAX_DEGREE = 24  # 2^24-entry tables are the desk-scale ceiling
 BULK_CHUNK = 1 << 16  # elements per pass of a bulk numpy loop
+_THREADED_MIN_DEGREE = 22   # bulk loops of smaller fields stay on one thread
+_MAX_WORKERS = 4             # beyond ~3 the brute sweep's locked np.add.at is the bound
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +200,65 @@ def _apply_byte_tables(tables: np.ndarray, src: np.ndarray, out: np.ndarray):
             np.right_shift(s, 8 * j, out=b)
             b &= 0xFF
             o ^= np.take(tables[j], b)
+
+
+def sweep_workers(field: GF2m) -> int:
+    """Threads a bulk loop over ``field`` runs on: 1 below degree 22, else
+    one per CPU this process may run on, at most 4."""
+    if field.degree < _THREADED_MIN_DEGREE:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _sweep(field: GF2m, stop: int, work) -> int:
+    """Sum of ``work(start, lock)`` over the ``BULK_CHUNK`` starts of [0, stop).
+
+    With one worker this is a plain loop.  Otherwise ``sweep_workers(field)``
+    threads (never more than there are starts), the calling thread among
+    them, claim starts one at a time from a shared iterator under ``lock``;
+    ``work`` takes the same lock for any write to shared state and calls
+    nothing public, since the calling thread alone may.  Once every worker
+    has stopped, the first exception any of them raised is re-raised here,
+    so no partial result escapes.
+    """
+    starts = range(0, stop, BULK_CHUNK)
+    lock = threading.Lock()
+    workers = min(sweep_workers(field), len(starts))
+    if workers <= 1:
+        return sum(work(start, lock) for start in starts)
+
+    claim = iter(starts)
+    totals: list[int] = []
+    errors: list[BaseException] = []
+
+    def run():
+        total = 0
+        try:
+            while True:
+                with lock:
+                    start = None if errors else next(claim, None)
+                if start is None:
+                    break
+                total += work(start, lock)
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+        with lock:
+            totals.append(total)
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    run()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 class ArtinSchreierSolver:
@@ -470,7 +546,10 @@ class GF2m:
         ``log[0]`` is meaningless and callers must special-case zero.
         Built lazily with a doubling construction: once g^0..g^(f-1) are
         known, the next f entries are the known block scaled by g^f
-        through byte-sliced tables of that multiplication.
+        through byte-sliced tables of that multiplication.  Each doubling
+        step and the ``log`` scatter run their ``BULK_CHUNK`` slices
+        through ``_sweep``; the tables are cached only once both are
+        complete, so a failed build leaves nothing behind.
         """
         if self._tables is None:
             size = self.order - 1
@@ -481,12 +560,25 @@ class GF2m:
             while filled < size:
                 step = min(filled, size - filled)
                 tables = _byte_tables(self._scaled_basis(self.pow(g, filled)))
-                _apply_byte_tables(tables, exp[:step], exp[filled:filled + step])
+
+                def scale(start, lock):
+                    stop = min(start + BULK_CHUNK, step)
+                    _apply_byte_tables(tables, exp[start:stop],
+                                       exp[filled + start:filled + stop])
+                    return 0
+
+                _sweep(self, step, scale)
                 filled += step
             log = np.zeros(self.order, dtype=np.uint32)
-            for start in range(0, size, BULK_CHUNK):
+
+            def scatter(start, lock):
+                # exp is a permutation, so the slices write disjoint slots.
                 stop = min(start + BULK_CHUNK, size)
-                log[exp[start:stop]] = np.arange(start, stop, dtype=np.uint32)
+                np.put(log, exp[start:stop].astype(np.intp),
+                       np.arange(start, stop, dtype=np.uint32))
+                return 0
+
+            _sweep(self, size, scatter)
             self._tables = (exp, log)
         return self._tables
 

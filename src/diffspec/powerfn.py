@@ -16,38 +16,30 @@ so besides the tables a sweep holds only that array (64 MB at m = 24)
 and chunk-sized temporaries, never a field-sized image or int64 array.
 
 The chunk loops of ``solution_counts`` (so of ``spectrum_brute`` and
-``verify_conjecture``) and of ``delta`` run on threads when the field has
-degree 22 or more: one per CPU the process may use, at most 4, the
-calling thread among them.  Most of a chunk's time is numpy work that
-releases the interpreter lock (the ``exp`` gather and the arithmetic on
-logs), so the workers overlap there.  Below degree 22 a sweep is a plain
-loop on the calling thread: threads gained nothing measurable there and
-their per-thread allocator arenas cost a few MB of resident memory.  The
-workers claim chunk starts from one shared iterator under a single lock,
-and every ``np.add.at`` into the shared count array holds the same lock
+``verify_conjecture``) and of ``delta`` run on the bulk-loop threads of
+:mod:`diffspec.gf2m` (``sweep_workers`` and ``_sweep``, the same helper
+and policy the table build uses): from degree 22, one thread per CPU the
+process may use, at most 4, the calling thread among them.  Most of a
+chunk's time is numpy work that releases the interpreter lock (the
+``exp`` gather and the arithmetic on logs), so the workers overlap there.
+Every ``np.add.at`` into the shared count array holds the sweep's lock
 (numpy 2.4 keeps the interpreter lock inside ``np.add.at`` anyway; the
-lock keeps the counts exact where a numpy build does not);
-``delta``'s workers sum private counts instead.  The field's tables are
-fetched once on the calling thread and handed to the workers, which call
-no public function or method.  ``spectrum_from_counts``, ``image_table``
-and the table build stay on one thread.  Results are deterministic and
-independent of chunking or thread count because every accumulation is a
-plain order-insensitive count; the tests compare threaded and one-thread
-sweeps at degree 22.
+lock keeps the counts exact where a numpy build does not); ``delta``'s
+workers sum private counts instead.  The field's tables are fetched once
+on the calling thread and handed to the workers, which call no public
+function or method.  ``spectrum_from_counts`` and ``image_table`` stay on
+one thread.  Results are deterministic and independent of chunking or
+thread count because every accumulation is a plain order-insensitive
+count; the tests compare threaded and one-thread sweeps at degree 22.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2m import BULK_CHUNK, GF2m
-
-_THREADED_MIN_DEGREE = 22   # sweeps of smaller fields stay on one thread
-_MAX_WORKERS = 4             # beyond ~3 the locked np.add.at is the bound
+from .gf2m import BULK_CHUNK, GF2m, _sweep
 
 
 class PowerFunction:
@@ -187,64 +179,6 @@ def derivative_table(f: PowerFunction) -> np.ndarray:
     return table
 
 
-def sweep_workers(field: GF2m) -> int:
-    """Threads a full sweep of ``field`` runs on: 1 below degree 22, else
-    one per CPU this process may run on, at most 4."""
-    if field.degree < _THREADED_MIN_DEGREE:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _sweep(field: GF2m, work) -> int:
-    """Sum of ``work(start, lock)`` over the ``BULK_CHUNK`` starts of the field.
-
-    With one worker this is a plain loop.  Otherwise ``sweep_workers(field)``
-    threads, the calling thread among them, claim starts one at a time from
-    a shared iterator under ``lock``; ``work`` takes the same lock for any
-    write to shared state and calls nothing public, since the calling
-    thread alone may.  Once every worker has stopped, the first exception any
-    of them raised is re-raised here, so no partial result escapes.
-    """
-    starts = range(0, field.order, BULK_CHUNK)
-    lock = threading.Lock()
-    workers = sweep_workers(field)
-    if workers == 1:
-        return sum(work(start, lock) for start in starts)
-
-    claim = iter(starts)
-    totals: list[int] = []
-    errors: list[BaseException] = []
-
-    def run():
-        total = 0
-        try:
-            while True:
-                with lock:
-                    start = None if errors else next(claim, None)
-                if start is None:
-                    break
-                total += work(start, lock)
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
-        with lock:
-            totals.append(total)
-
-    threads = [threading.Thread(target=run, daemon=True) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    run()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return sum(totals)
-
-
 def delta(f: PowerFunction, a: int, b: int) -> int:
     """Exact number of x with F(x+a) + F(x) = b, by full sweep.
 
@@ -270,7 +204,7 @@ def delta(f: PowerFunction, a: int, b: int) -> int:
         partner = image if other == start else f._image_chunk(other, other + size, tables)
         return int(np.count_nonzero((image ^ partner[perm]) == b))
 
-    return _sweep(f.field, count_chunk)
+    return _sweep(f.field, order, count_chunk)
 
 
 def delta_via_normalization(f: PowerFunction, a: int, b: int) -> int:
@@ -312,7 +246,7 @@ def solution_counts(f: PowerFunction) -> np.ndarray:
             np.add.at(counts, pairs, two)
         return 0
 
-    _sweep(f.field, add_chunk)
+    _sweep(f.field, order, add_chunk)
     return counts
 
 

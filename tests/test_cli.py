@@ -79,6 +79,23 @@ def test_spectrum_all_methods_agree(capsys):
     assert payload["methods"]["closed_form"]["spectrum"] == brute
 
 
+def test_spectrum_all_disagrees_on_counts_moved_between_b(capsys, monkeypatch):
+    # The tables keep the 0x11b field while the scalar arithmetic moves to
+    # the isomorphic 0x11d one: the three spectra still agree, but the
+    # brute and structured counts differ b by b, so the routes disagree.
+    planted = theorem.TheoremParams(2)
+    planted.field.log_tables()
+    planted.field.modulus = 0x11D
+    monkeypatch.setattr(theorem, "TheoremParams", lambda n, modulus=None: planted)
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--method", "all")
+    assert code == EXIT_VERIFY_FAILED
+    payload = json.loads(out)
+    assert payload["agree"] is False
+    spectra = [body["spectrum"] for body in payload["methods"].values()]
+    assert spectra[0] == {"0": 155, "2": 96, "12": 4, "16": 1}
+    assert all(s == spectra[0] for s in spectra)
+
+
 def test_spectrum_generic_instance(capsys):
     payload = run_json(capsys, "spectrum", "--m", "4", "--d", "3", "--method", "brute")
     assert payload["spectrum"] == {"0": 8, "2": 8}
@@ -277,6 +294,25 @@ def test_log_appends_reproducible_records(capsys, tmp_path):
         assert rec["diagnostics"]["peak_rss_mb"] > 0
     assert records[0]["payload"] == records[1]["payload"]
     assert records[0]["config"] == records[1]["config"]
+
+
+def test_log_config_names_a_method_only_where_one_applies(capsys, tmp_path):
+    log = tmp_path / "runs.ndjson"
+    runs = {
+        ("spectrum", "--n", "1"): "brute",
+        ("spectrum", "--n", "1", "--method", "structured"): "structured",
+        ("verify", "--n", "1"): "all",
+        ("delta", "--n", "1", "--a", "0x1", "--b", "0x3"): None,
+        ("field-info", "--m", "8", "--d", "7"): None,
+    }
+    for argv in runs:
+        assert run_cli(capsys, *argv, "--log", str(log))[0] == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    for (argv, method), record in zip(runs.items(), records):
+        config = record["config"]
+        assert config["command"] == argv[0]
+        assert config.get("method") == method, argv
+        assert list(config)[:2] == (["command", "method"] if method else ["command", "format"])
 
 
 def test_verify_log_explains_the_run(capsys, tmp_path):

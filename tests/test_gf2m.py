@@ -1,8 +1,11 @@
+import itertools
 import random
+import threading
 
 import numpy as np
 import pytest
 
+import diffspec.gf2m as gf2m
 from diffspec.errors import GuardExceededError
 from diffspec.gf2m import (
     GF2m,
@@ -351,6 +354,96 @@ def test_table_build_memory_bound(peak_traced_bytes):
     # exp and log take 8 MiB at m = 20; the build's temporaries may add
     # about as much again, not several field-sized int64 arrays.
     assert peak_traced_bytes(GF2m(20).log_tables) <= 17 * 2**20
+
+
+def build_tables(monkeypatch, workers, degree, modulus=None):
+    """A fresh field and its tables, built with ``workers`` threads.
+
+    Checks that the doubling slices ran on the calling thread alone for one
+    worker and on more than one thread otherwise, so a patch that misses
+    the helper's binding cannot pass as a threaded build.
+    """
+    ran_on = set()
+    real = gf2m._apply_byte_tables
+
+    def recording(tables, src, out):
+        ran_on.add(threading.get_ident())
+        return real(tables, src, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2m, "sweep_workers", lambda field: workers)
+        patch.setattr(gf2m, "_apply_byte_tables", recording)
+        fld = GF2m(degree, modulus)
+        tables = fld.log_tables()
+    if workers == 1:
+        assert ran_on == {threading.get_ident()}
+    else:
+        assert len(ran_on) > 1
+    return fld, tables
+
+
+def seeded_irreducible(degree, seed):
+    rng = random.Random(seed)
+    while True:
+        v = (1 << degree) | rng.getrandbits(degree) | 1
+        if is_irreducible(v):
+            return v
+
+
+@pytest.mark.parametrize("degree,modulus_seed,workers", [
+    (22, None, 2), (22, None, 4), (24, None, 4), (24, 2401, 4), (24, 2402, 4),
+])
+def test_threaded_tables_match_one_worker(monkeypatch, degree, modulus_seed, workers):
+    modulus = None if modulus_seed is None else seeded_irreducible(degree, modulus_seed)
+    _, serial = build_tables(monkeypatch, 1, degree, modulus)
+    fld, threaded = build_tables(monkeypatch, workers, degree, modulus)
+    for one, many in zip(serial, threaded):
+        assert many.dtype == np.uint32
+        assert np.array_equal(one, many)
+    exp, log = threaded
+    g = fld.primitive_element()
+    size = fld.order - 1
+    rng = random.Random(degree)
+    for k in [0, 1, size - 1] + [rng.randrange(size) for _ in range(100)]:
+        assert int(exp[k]) == fld.pow(g, k)
+        assert int(log[exp[k]]) == k
+
+
+def test_failed_table_build_caches_nothing(monkeypatch):
+    # One doubling slice of a threaded build fails: the error reaches the
+    # caller after every worker has joined, nothing is cached, and the
+    # next call builds the full tables.
+    _, reference = build_tables(monkeypatch, 1, 22)
+    fld = GF2m(22)
+    real = gf2m._apply_byte_tables
+    calls = itertools.count()
+    active = []
+
+    def planted(tables, src, out):
+        active.append(threading.active_count())
+        if next(calls) == 40:   # a slice of the 2^20-element step
+            raise RuntimeError("planted slice failure")
+        return real(tables, src, out)
+
+    before = threading.active_count()
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2m, "sweep_workers", lambda field: 2)
+        patch.setattr(gf2m, "_apply_byte_tables", planted)
+        with pytest.raises(RuntimeError, match="planted slice failure"):
+            fld.log_tables()
+    assert fld._tables is None
+    assert threading.active_count() == before
+    assert max(active) > before
+    for rebuilt, expected in zip(fld.log_tables(), reference):
+        assert np.array_equal(rebuilt, expected)
+
+
+def test_threaded_table_build_memory_bound(monkeypatch, peak_traced_bytes):
+    # exp and log take 32 MiB at m = 22 and a one-thread build peaks at
+    # 32.8 MiB; each worker adds under 1 MiB of slice temporaries, so no
+    # field-sized array fits.
+    monkeypatch.setattr(gf2m, "sweep_workers", lambda field: 4)
+    assert peak_traced_bytes(GF2m(22).log_tables) <= 36 * 2**20
 
 
 def test_primitive_element_generates(f16):

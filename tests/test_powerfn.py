@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import diffspec.powerfn as powerfn
+import diffspec.gf2m as gf2m
 from diffspec.gf2m import BULK_CHUNK, GF2m
 from diffspec.powerfn import (
     PowerFunction,
@@ -298,15 +298,34 @@ def f22():
 
 
 def with_workers(monkeypatch, workers, fn):
+    """fn() with bulk loops on ``workers`` threads.
+
+    Checks that the chunks ran on the calling thread alone for one worker
+    and on more than one thread otherwise, so a patch that misses the
+    helper's binding cannot pass as a threaded run.
+    """
+    ran_on = set()
+    real = PowerFunction._image_chunk
+
+    def recording(self, start, stop, tables):
+        ran_on.add(threading.get_ident())
+        return real(self, start, stop, tables)
+
     with monkeypatch.context() as patch:
-        patch.setattr(powerfn, "sweep_workers", lambda field: workers)
-        return fn()
+        patch.setattr(gf2m, "sweep_workers", lambda field: workers)
+        patch.setattr(PowerFunction, "_image_chunk", recording)
+        result = fn()
+    if workers == 1:
+        assert ran_on == {threading.get_ident()}
+    else:
+        assert len(ran_on) > 1
+    return result
 
 
 def test_sweep_threads_only_from_degree_22():
-    assert powerfn.sweep_workers(GF2m(20)) == 1
-    assert powerfn.sweep_workers(GF2m(21)) == 1
-    assert powerfn.sweep_workers(GF2m(22)) == min(len(os.sched_getaffinity(0)), 4)
+    assert gf2m.sweep_workers(GF2m(20)) == 1
+    assert gf2m.sweep_workers(GF2m(21)) == 1
+    assert gf2m.sweep_workers(GF2m(22)) == min(len(os.sched_getaffinity(0)), 4)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -338,26 +357,29 @@ def test_threaded_delta_matches_one_worker(f22, monkeypatch):
 def test_threaded_sweep_reraises_a_chunk_failure(monkeypatch, bad_start):
     f = PowerFunction(GF2m(20), 7)
     original = PowerFunction._image_chunk
+    active = []
 
     def planted(self, start, stop, tables):
+        active.append(threading.active_count())
         if start == bad_start:
             raise RuntimeError(f"planted failure at {start}")
         return original(self, start, stop, tables)
 
     before = threading.active_count()
     monkeypatch.setattr(PowerFunction, "_image_chunk", planted)
-    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 2)
+    monkeypatch.setattr(gf2m, "sweep_workers", lambda field: 2)
     with pytest.raises(RuntimeError, match=f"planted failure at {bad_start}"):
         solution_counts(f)
     with pytest.raises(RuntimeError, match="planted failure"):
         delta(f, 1, 0)
     assert threading.active_count() == before
+    assert max(active) > before   # the sweeps did start a second thread
 
 
 def test_threaded_sweep_calls_public_code_from_the_caller_only(f22, monkeypatch):
     # Workers must touch only the tables handed to them: public methods of
     # GF2m and PowerFunction (log_tables, check, eval, ...) run on the
-    # calling thread alone.
+    # calling thread alone, while the tables are built as well.
     seen = []
     for cls in (GF2m, PowerFunction):
         for name, fn in list(vars(cls).items()):
@@ -369,10 +391,14 @@ def test_threaded_sweep_calls_public_code_from_the_caller_only(f22, monkeypatch)
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(cls, name, recording)
-    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 2)
     f = PowerFunction(f22, 1 + 2**11)
-    solution_counts(f)
-    delta(f, BULK_CHUNK + 3, 0x1234)
+
+    def calls():
+        GF2m(22).log_tables()
+        solution_counts(f)
+        delta(f, BULK_CHUNK + 3, 0x1234)
+
+    with_workers(monkeypatch, 2, calls)
     assert seen and set(seen) == {threading.get_ident()}
 
 
@@ -381,12 +407,12 @@ def test_threaded_sweep_stress_with_fast_switching(monkeypatch):
     # the shared counts or a chunk claimed twice or never would change them.
     f = PowerFunction(GF2m(20), 1 + 2**10)
     serial = solution_counts(f)
-    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert np.array_equal(solution_counts(f), serial)
+            threaded = with_workers(monkeypatch, 8, lambda: solution_counts(f))
+            assert np.array_equal(threaded, serial)
     finally:
         sys.setswitchinterval(interval)
 
@@ -394,6 +420,6 @@ def test_threaded_sweep_stress_with_fast_switching(monkeypatch):
 def test_threaded_sweep_memory_bound(f22, monkeypatch, peak_traced_bytes):
     # The uint32 counts (16 MiB at m = 22) plus about 1 MiB of chunk
     # temporaries per worker; tracemalloc sees every thread's allocations.
-    monkeypatch.setattr(powerfn, "sweep_workers", lambda field: 4)
     f = PowerFunction(f22, 1 + 2**11)
-    assert peak_traced_bytes(lambda: spectrum_brute(f)) <= 20 * 2**20
+    peak = peak_traced_bytes(lambda: with_workers(monkeypatch, 4, lambda: spectrum_brute(f)))
+    assert peak <= 20 * 2**20

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffspec.errors import GuardExceededError, TheoremViolationError
-from diffspec.gf2m import GF2m
+from diffspec.gf2m import GF2m, is_irreducible
 from diffspec.powerfn import delta, derivative_table, solution_set, spectrum_brute
 from diffspec.theorem import (
     TheoremParams,
@@ -346,6 +346,14 @@ def test_verify_conjecture_passes(make_params):
         assert report.passed
         assert report.mismatches == []
         assert report.one_b_full and report.circle_values and report.rest_at_most_2
+
+
+def test_verify_conjecture_passes_on_every_degree_8_modulus():
+    moduli = [v for v in range(0x101, 0x200, 2) if is_irreducible(v)]
+    assert len(moduli) == 30
+    for modulus in moduli:
+        report = verify_conjecture(TheoremParams(2, modulus))
+        assert report.passed, hex(modulus)
 
 
 def test_verify_report_branches_and_timings(make_params):
