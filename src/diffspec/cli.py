@@ -173,6 +173,8 @@ def _resolve(args) -> RunConfig:
         raise _UsageError("verify needs the --n instance selector")
     max_m = _effective_max_m()
     if cfg.n is not None:
+        if cfg.d is not None:
+            raise _UsageError("--d needs --m; the --n instance fixes its own exponent")
         if cfg.n < 1:
             raise _UsageError(f"--n must be a positive integer, got {cfg.n}")
         if 4 * cfg.n > max_m:

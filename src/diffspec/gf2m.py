@@ -27,23 +27,25 @@ degree-24 tables take well under a second.  Bulk loops run in chunks of
 must (and does; the test suite checks) agree bit-for-bit with the
 schoolbook scalar path.
 
-From degree 22 the bulk loops run on threads: ``_sweep`` hands the
-``BULK_CHUNK`` slices of a range to ``sweep_workers(field)`` threads, one
-per CPU in the affinity mask, at most 4, the calling thread among them.
-The table build uses it for each doubling step (the slices write disjoint
-parts of ``exp``) and for the ``log`` scatter (disjoint because ``exp`` is
-a permutation); :mod:`diffspec.powerfn` uses the same helper for its
-sweeps.  Workers call only private code, so every public function and
-method runs on the calling thread.  The first exception of any worker is
-re-raised once all have joined.  Below degree 22 every loop is a plain
-loop on the calling thread: threads gained nothing measurable there and
-their per-thread allocator arenas cost a few MB of resident memory.
+From degree 22 the bulk loops run on threads; this is the package's one
+thread policy.  ``_sweep`` hands the ``BULK_CHUNK`` slices of a range to
+a ``concurrent.futures`` pool of ``sweep_workers(field)`` threads, one
+per CPU in the affinity mask, at most 4, one task per thread, while the
+calling thread waits.  The table build uses it for each doubling step
+(the slices write disjoint parts of ``exp``) and for the ``log`` scatter
+(disjoint because ``exp`` is a permutation); :mod:`diffspec.powerfn`
+uses the same helper for its sweeps.  Pool tasks call only private code,
+so every public function and method runs on the calling thread.  The
+first exception of any task is re-raised once every thread has joined.
+Below degree 22 every loop is a plain loop on the calling thread:
+threads gained nothing measurable there and their per-thread allocator
+arenas cost a few MB of resident memory.
 """
 
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -215,49 +217,20 @@ def sweep_workers(field: GF2m) -> int:
 
 
 def _sweep(field: GF2m, stop: int, work) -> int:
-    """Sum of ``work(start, lock)`` over the ``BULK_CHUNK`` starts of [0, stop).
+    """Sum of ``work(start)`` over the ``BULK_CHUNK`` starts of [0, stop).
 
-    With one worker this is a plain loop.  Otherwise ``sweep_workers(field)``
-    threads (never more than there are starts), the calling thread among
-    them, claim starts one at a time from a shared iterator under ``lock``;
-    ``work`` takes the same lock for any write to shared state and calls
-    nothing public, since the calling thread alone may.  Once every worker
-    has stopped, the first exception any of them raised is re-raised here,
-    so no partial result escapes.
+    With one worker this is a plain loop.  Otherwise a pool of
+    ``sweep_workers(field)`` threads (never more than there are starts)
+    runs one task per thread, each summing ``work`` over every
+    ``workers``-th start.  Leaving the pool joins every thread before the
+    first failure is re-raised, so no partial result escapes.
     """
     starts = range(0, stop, BULK_CHUNK)
-    lock = threading.Lock()
     workers = min(sweep_workers(field), len(starts))
     if workers <= 1:
-        return sum(work(start, lock) for start in starts)
-
-    claim = iter(starts)
-    totals: list[int] = []
-    errors: list[BaseException] = []
-
-    def run():
-        total = 0
-        try:
-            while True:
-                with lock:
-                    start = None if errors else next(claim, None)
-                if start is None:
-                    break
-                total += work(start, lock)
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
-        with lock:
-            totals.append(total)
-
-    threads = [threading.Thread(target=run, daemon=True) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    run()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+        return sum(map(work, starts))
+    with ThreadPoolExecutor(workers) as pool:
+        totals = pool.map(lambda i: sum(map(work, starts[i::workers])), range(workers))
     return sum(totals)
 
 
@@ -561,7 +534,7 @@ class GF2m:
                 step = min(filled, size - filled)
                 tables = _byte_tables(self._scaled_basis(self.pow(g, filled)))
 
-                def scale(start, lock):
+                def scale(start):
                     stop = min(start + BULK_CHUNK, step)
                     _apply_byte_tables(tables, exp[start:stop],
                                        exp[filled + start:filled + stop])
@@ -571,7 +544,7 @@ class GF2m:
                 filled += step
             log = np.zeros(self.order, dtype=np.uint32)
 
-            def scatter(start, lock):
+            def scatter(start):
                 # exp is a permutation, so the slices write disjoint slots.
                 stop = min(start + BULK_CHUNK, size)
                 np.put(log, exp[start:stop].astype(np.intp),

@@ -16,25 +16,25 @@ so besides the tables a sweep holds only that array (64 MB at m = 24)
 and chunk-sized temporaries, never a field-sized image or int64 array.
 
 The chunk loops of ``solution_counts`` (so of ``spectrum_brute`` and
-``verify_conjecture``) and of ``delta`` run on the bulk-loop threads of
-:mod:`diffspec.gf2m` (``sweep_workers`` and ``_sweep``, the same helper
-and policy the table build uses): from degree 22, one thread per CPU the
-process may use, at most 4, the calling thread among them.  Most of a
-chunk's time is numpy work that releases the interpreter lock (the
-``exp`` gather and the arithmetic on logs), so the workers overlap there.
-Every ``np.add.at`` into the shared count array holds the sweep's lock
-(numpy 2.4 keeps the interpreter lock inside ``np.add.at`` anyway; the
-lock keeps the counts exact where a numpy build does not); ``delta``'s
-workers sum private counts instead.  The field's tables are fetched once
-on the calling thread and handed to the workers, which call no public
-function or method.  ``spectrum_from_counts`` and ``image_table`` stay on
-one thread.  Results are deterministic and independent of chunking or
-thread count because every accumulation is a plain order-insensitive
-count; the tests compare threaded and one-thread sweeps at degree 22.
+``verify_conjecture``) and of ``delta`` run through ``gf2m._sweep``, on
+the threads and under the policy the :mod:`diffspec.gf2m` docstring
+states.  Most of a chunk's time is numpy work that releases the
+interpreter lock (the ``exp`` gather and the arithmetic on logs), so the
+threads overlap there.  Every ``np.add.at`` into the shared count array
+holds a lock of ``solution_counts`` (numpy 2.4 keeps the interpreter lock
+inside ``np.add.at`` anyway; the lock keeps the counts exact where a numpy
+build does not); ``delta``'s workers sum private counts instead.  The
+field's tables are fetched once on the calling thread and handed to the
+pool, which calls no public function or method.  ``spectrum_from_counts``
+and ``image_table`` stay on one thread.  Results are deterministic and
+independent of chunking or thread count because every accumulation is a
+plain order-insensitive count; the tests compare threaded and one-thread
+sweeps at degree 22.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +198,7 @@ def delta(f: PowerFunction, a: int, b: int) -> int:
     perm = np.arange(size) ^ (a & (size - 1))
     tables = f.field.log_tables()
 
-    def count_chunk(start, lock):
+    def count_chunk(start):
         image = f._image_chunk(start, start + size, tables)
         other = start ^ shift
         partner = image if other == start else f._image_chunk(other, other + size, tables)
@@ -231,15 +231,16 @@ def solution_counts(f: PowerFunction) -> np.ndarray:
     value and sit side by side in an even-aligned slice, so each pair
     adds 2 to its slot straight from the slice.  No derivative table or
     int64 histogram of the field's size is built.  Slices are evaluated
-    on the sweep's workers; the adds into the one count array hold the
-    sweep's lock.
+    on the sweep's workers; the adds into the one count array hold a
+    lock.
     """
     order = f.field.order
     tables = f.field.log_tables()
     counts = np.zeros(order, dtype=np.uint32)
     two = np.uint32(2)   # a Python int would take np.add.at's casting slow path
+    lock = threading.Lock()
 
-    def add_chunk(start, lock):
+    def add_chunk(start):
         image = f._image_chunk(start, min(start + BULK_CHUNK, order), tables)
         pairs = image[0::2] ^ image[1::2]
         with lock:

@@ -49,6 +49,10 @@ def test_exit_code_validation(capsys):
     assert run_cli(capsys, "spectrum")[0] == 1                      # no selector
     assert run_cli(capsys, "spectrum", "--n", "1", "--m", "4", "--d", "3")[0] == 1
     assert run_cli(capsys, "spectrum", "--m", "4")[0] == 1          # --m without --d
+    assert run_cli(capsys, "spectrum", "--n", "2", "--d", "5")[0] == 1  # --d without --m
+    assert run_cli(capsys, "verify", "--n", "2", "--d", "5")[0] == 1
+    assert run_cli(capsys, "delta", "--n", "2", "--d", "5", "--a", "0x1", "--b", "0x3")[0] == 1
+    assert run_cli(capsys, "field-info", "--n", "2", "--d", "5")[0] == 1
     assert run_cli(capsys, "spectrum", "--n", "0")[0] == 1
     assert run_cli(capsys, "spectrum", "--n", "2", "--method", "nope")[0] == 1
     assert run_cli(capsys, "spectrum", "--n", "2", "--format", "nope")[0] == 1

@@ -356,6 +356,24 @@ def test_table_build_memory_bound(peak_traced_bytes):
     assert peak_traced_bytes(GF2m(20).log_tables) <= 17 * 2**20
 
 
+def test_sweep_runs_each_start_once_and_returns_the_sum(monkeypatch):
+    # Eight workers asked for, three starts: no more threads than starts run
+    # ``work``, and every pool thread has exited when the call returns.
+    ran = []
+
+    def work(start):
+        ran.append((start, threading.get_ident()))
+        return start + 1
+
+    starts = [0, gf2m.BULK_CHUNK, 2 * gf2m.BULK_CHUNK]
+    before = threading.active_count()
+    monkeypatch.setattr(gf2m, "sweep_workers", lambda field: 8)
+    assert gf2m._sweep(GF2m(8), 3 * gf2m.BULK_CHUNK, work) == sum(starts) + 3
+    assert sorted(start for start, _ in ran) == starts
+    assert len({thread for _, thread in ran}) <= 3
+    assert threading.active_count() == before
+
+
 def build_tables(monkeypatch, workers, degree, modulus=None):
     """A fresh field and its tables, built with ``workers`` threads.
 

@@ -334,6 +334,53 @@ def test_spectrum_closed_form_sum_identities(make_params):
         assert sum(family_branches(n).values()) == 1 << (4 * n)
 
 
+def test_closed_forms_as_polynomials_in_q(make_params):
+    """The paper's four buckets restated as polynomials in q = 2^n.
+
+    ``family_branches(n)`` grouped by each branch's count, and
+    ``spectrum_closed_form`` at n = 2..6, equal those polynomials at five
+    values of q; both are polynomials of degree <= 4 in q, so the five
+    values fix them.  The bucket sums and the branch sizes interpolated
+    from those values are then checked as identities in q.  This is
+    evidence that the closed forms hold at every n, not only at n <= 6.
+    It proves nothing about the counts, which only the brute and
+    structured routes establish, instance by instance.
+    """
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    buckets = [                       # (multiplicity, number of b)
+        (0, (q**3 / 2 - 1) * (q + 1)),
+        (2, (q**4 - q**3) / 2),
+        (q**2 - q, q),
+        (q**2, 1),
+    ]
+    branch_count = {
+        "b0": 0, "b1": q**2, "unit_circle": q**2 - q, "subfield": 0, "quadratic2": 2,
+        "quadratic0.norm_gate": 0, "quadratic0.zero_trace": 0, "quadratic0.off_circle": 0,
+    }
+    assert sympy.expand(sum(c for _, c in buckets) - q**4) == 0
+    assert sympy.expand(sum(i * c for i, c in buckets) - q**4) == 0
+
+    def at(expr, n):
+        return int(sympy.sympify(expr).subs(q, 1 << n))
+
+    ns = range(2, 7)
+    for n in ns:
+        expected = {at(i, n): at(c, n) for i, c in buckets}
+        grouped: dict[int, int] = {}
+        for branch, size in family_branches(n).items():
+            count = at(branch_count[branch], n)
+            grouped[count] = grouped.get(count, 0) + size
+        assert grouped == expected, n
+        assert spectrum_closed_form(make_params(n)).entries == expected, n
+
+    sizes = [
+        sympy.interpolate([(1 << n, family_branches(n)[branch]) for n in ns], q)
+        for branch in branch_count
+    ]
+    assert sympy.expand(sum(sizes) - q**4) == 0
+
+
 def test_spectrum_closed_form_matches_brute(make_params):
     for n in (1, 2, 3):
         p = make_params(n)
