@@ -10,19 +10,22 @@ over GF(2^(4n))) or by ``--m``/``--d`` (any power function).  ``verify``
 takes only ``--n`` and has no ``--method``: it always runs all three
 routes.  Elements on the command line are hex bit vectors of the
 polynomial-basis encoding.  Exit codes: 0 success (and, for verify,
-pass), 1 validation error, 2 guard exceeded, 3 a structured-solver claim
-failed, 4 the ``--out`` or ``--log`` file could not be written, 5 verify
-ran and reported ``pass: false``, or ``spectrum --method all`` reported
-``agree: false``.  That ``agree`` needs the brute and structured counts to
-match for every b, not only the three spectra: equal histograms can hide
-counts moved between b.
+pass), 1 validation error (any ``ValueError``, from argparse, the
+instance checks here or the library), 2 guard exceeded, 3 a
+structured-solver claim failed, 4 the ``--out`` or ``--log`` file could
+not be written, 5 verify ran and reported ``pass: false``, or
+``spectrum --method all`` reported ``agree: false``.  That ``agree``
+needs the brute and structured counts to match for every b, not only the
+three spectra: equal histograms can hide counts moved between b.
 
 The environment variable ``DIFFSPEC_MAX_M`` may lower (never raise) the
 built-in m <= 24 guard.  Identical configurations produce byte-identical
 result payloads; ``--log PATH`` appends one JSON line per run with a
-timestamp, the wall-clock duration and diagnostics kept outside the
-payload: the peak resident set size, and for verify the seconds of each
-phase, the dispatch-branch histogram and the brute sweep's thread count.
+timestamp, the wall-clock duration, a ``config`` echo of the parsed
+arguments (command, method, format, n, m, d, modulus, a, b in that
+order, each only when set) and diagnostics kept outside the payload: the
+peak resident set size, and for verify the seconds of each phase, the
+dispatch-branch histogram and the brute sweep's thread count.
 """
 
 from __future__ import annotations
@@ -55,47 +58,9 @@ METHODS = ("brute", "structured", "closed-form", "all")
 FORMATS = ("json", "csv", "table")
 
 
-class _UsageError(ValueError):
-    """Bad command line; maps to the validation exit code."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    m: int | None = None
-    d: int | None = None
-    modulus: int | None = None
-    method: str | None = None
-    fmt: str = "json"
-    out: str | None = None
-    log: str | None = None
-    a: int | None = None
-    b: int | None = None
-
-    def echo(self) -> dict:
-        cfg = {"command": self.command}
-        if self.method is not None:
-            cfg["method"] = self.method
-        cfg["format"] = self.fmt
-        if self.n is not None:
-            cfg["n"] = self.n
-        if self.m is not None:
-            cfg["m"] = self.m
-        if self.d is not None:
-            cfg["d"] = self.d
-        if self.modulus is not None:
-            cfg["modulus"] = f"0x{self.modulus:x}"
-        if self.a is not None:
-            cfg["a"] = f"0x{self.a:x}"
-        if self.b is not None:
-            cfg["b"] = f"0x{self.b:x}"
-        return cfg
+        raise ValueError(message)
 
 
 @dataclass
@@ -111,7 +76,7 @@ def _hex_int(text: str) -> int:
     try:
         return int(text, 16)
     except ValueError:
-        raise _UsageError(f"expected a hex value, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a hex value, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="irreducible modulus override")
         if with_method:
             p.add_argument("--method", choices=METHODS, default=None)
-        p.add_argument("--format", dest="fmt", choices=FORMATS, default="json")
+        p.add_argument("--format", choices=FORMATS, default="json")
         p.add_argument("--out", help="write the formatted result to a file")
         p.add_argument("--log", help="append a JSON run record to this file")
 
@@ -148,74 +113,63 @@ def _effective_max_m() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise _UsageError(f"DIFFSPEC_MAX_M must be an integer, got {raw!r}")
+        raise ValueError(f"DIFFSPEC_MAX_M must be an integer, got {raw!r}")
     return min(MAX_DEGREE, value)
 
 
-def _resolve(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        m=args.m,
-        d=args.d,
-        modulus=args.modulus,
-        method=getattr(args, "method", None) or
-               {"spectrum": "brute", "verify": "all"}.get(args.command),
-        fmt=args.fmt,
-        out=args.out,
-        log=args.log,
-        a=getattr(args, "a", None),
-        b=getattr(args, "b", None),
-    )
-    if (cfg.n is None) == (cfg.m is None):
-        raise _UsageError("select an instance with exactly one of --n or --m/--d")
-    if cfg.command == "verify" and cfg.n is None:
-        raise _UsageError("verify needs the --n instance selector")
+def _resolve(args: argparse.Namespace) -> None:
+    """Reject a bad instance selection or one beyond the guard, and set
+    ``args.method``: the one given, else brute for spectrum, all for verify."""
+    args.method = (getattr(args, "method", None) or
+                   {"spectrum": "brute", "verify": "all"}.get(args.command))
+    if (args.n is None) == (args.m is None):
+        raise ValueError("select an instance with exactly one of --n or --m/--d")
+    if args.command == "verify" and args.n is None:
+        raise ValueError("verify needs the --n instance selector")
     max_m = _effective_max_m()
-    if cfg.n is not None:
-        if cfg.d is not None:
-            raise _UsageError("--d needs --m; the --n instance fixes its own exponent")
-        if cfg.n < 1:
-            raise _UsageError(f"--n must be a positive integer, got {cfg.n}")
-        if 4 * cfg.n > max_m:
+    if args.n is not None:
+        if args.d is not None:
+            raise ValueError("--d needs --m; the --n instance fixes its own exponent")
+        if args.n < 1:
+            raise ValueError(f"--n must be a positive integer, got {args.n}")
+        if 4 * args.n > max_m:
             raise GuardExceededError(
-                f"n={cfg.n} needs degree {4 * cfg.n}, beyond the m <= {max_m} guard"
+                f"n={args.n} needs degree {4 * args.n}, beyond the m <= {max_m} guard"
             )
     else:
-        if cfg.d is None:
-            raise _UsageError("--m requires --d")
-        if cfg.m > max_m:
-            raise GuardExceededError(f"m={cfg.m} exceeds the m <= {max_m} guard")
-        if cfg.method in ("structured", "closed-form", "all"):
-            raise _UsageError(f"method {cfg.method!r} needs the --n instance selector")
-    return cfg
+        if args.d is None:
+            raise ValueError("--m requires --d")
+        if args.m > max_m:
+            raise GuardExceededError(f"m={args.m} exceeds the m <= {max_m} guard")
+        if args.method in ("structured", "closed-form", "all"):
+            raise ValueError(f"method {args.method!r} needs the --n instance selector")
 
 
-def _make_instance(cfg: RunConfig):
+def _make_instance(args: argparse.Namespace):
     """(params or None, PowerFunction) for the selected instance."""
-    if cfg.n is not None:
-        params = theorem.TheoremParams(cfg.n, cfg.modulus)
+    if args.n is not None:
+        params = theorem.TheoremParams(args.n, args.modulus)
         return params, params.power_function()
-    field = GF2m(cfg.m, cfg.modulus)
-    return None, powerfn.PowerFunction(field, cfg.d)
+    field = GF2m(args.m, args.modulus)
+    return None, powerfn.PowerFunction(field, args.d)
 
 
 # -- payload builders --------------------------------------------------------
 
-def _spectrum_payload(cfg: RunConfig, diagnostics: dict) -> dict:
-    params, f = _make_instance(cfg)
+def _spectrum_payload(args: argparse.Namespace, diagnostics: dict) -> dict:
+    params, f = _make_instance(args)
 
     counts = {}
-    if cfg.method in ("brute", "all"):
+    if args.method in ("brute", "all"):
         counts["brute"] = powerfn.solution_counts(f)
-    if cfg.method in ("structured", "all"):
+    if args.method in ("structured", "all"):
         counts["structured"], _ = theorem.structured_counts(params)
     methods = {name: powerfn.spectrum_from_counts(c, f) for name, c in counts.items()}
-    if cfg.method in ("closed-form", "all"):
+    if args.method in ("closed-form", "all"):
         methods["closed-form"] = theorem.spectrum_closed_form(params)
 
-    if cfg.method != "all":
-        return {**methods[cfg.method].to_json_dict(), "method": cfg.method}
+    if args.method != "all":
+        return {**methods[args.method].to_json_dict(), "method": args.method}
 
     first = methods["brute"]
     agree = (np.array_equal(counts["brute"], counts["structured"])
@@ -235,9 +189,9 @@ def _spectrum_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     }
 
 
-def _verify_payload(cfg: RunConfig, diagnostics: dict) -> dict:
+def _verify_payload(args: argparse.Namespace, diagnostics: dict) -> dict:
     start = time.perf_counter()
-    params = theorem.TheoremParams(cfg.n, cfg.modulus)
+    params = theorem.TheoremParams(args.n, args.modulus)
     field_s = time.perf_counter() - start
     report = theorem.verify_conjecture(params)
     diagnostics.update(
@@ -248,18 +202,9 @@ def _verify_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     return report.to_json_dict()
 
 
-def _delta_payload(cfg: RunConfig, diagnostics: dict) -> dict:
-    params, f = _make_instance(cfg)
-    a, b = cfg.a, cfg.b
-    if a is None or b is None:
-        raise _UsageError("delta needs --a and --b")
-    try:
-        f.field.check(a)
-        f.field.check(b)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    if a == 0:
-        raise _UsageError("difference a must be nonzero")
+def _delta_payload(args: argparse.Namespace, diagnostics: dict) -> dict:
+    params, f = _make_instance(args)
+    a, b = args.a, args.b
     payload = {
         "m": f.field.degree,
         "d": f.reported_exponent,
@@ -282,10 +227,10 @@ def _delta_payload(cfg: RunConfig, diagnostics: dict) -> dict:
     return payload
 
 
-def _field_info_payload(cfg: RunConfig, diagnostics: dict) -> dict:
+def _field_info_payload(args: argparse.Namespace, diagnostics: dict) -> dict:
     import math
 
-    params, f = _make_instance(cfg)
+    params, f = _make_instance(args)
     field, d = f.field, f.reported_exponent
     payload = {
         "m": field.degree,
@@ -379,14 +324,14 @@ def _format_table(command: str, payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _render(cfg: RunConfig, payload: dict) -> str:
-    if cfg.fmt == "json":
+def _render(args: argparse.Namespace, payload: dict) -> str:
+    if args.format == "json":
         return json.dumps(payload, indent=2)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(_csv_rows(cfg.command, payload))
+        csv.writer(buf, lineterminator="\n").writerows(_csv_rows(args.command, payload))
         return buf.getvalue().rstrip("\n")
-    return _format_table(cfg.command, payload)
+    return _format_table(args.command, payload)
 
 
 _BUILDERS = {
@@ -404,16 +349,28 @@ def _peak_rss_mb() -> float:
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
 
 
-def run(cfg: RunConfig) -> RunRecord:
-    """Build the payload; builders add their diagnostics to the record's."""
+def _config(args: argparse.Namespace) -> dict:
+    """The ``--log`` echo of the command line: each value set, hex for
+    field elements and moduli, in one fixed key order."""
+    cfg = {}
+    for key in ("command", "method", "format", "n", "m", "d", "modulus", "a", "b"):
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = f"0x{value:x}" if key in ("modulus", "a", "b") else value
+    return cfg
+
+
+def run(args: argparse.Namespace) -> RunRecord:
+    """Build the payload for ``_resolve``d ``args``; builders add their
+    diagnostics to the record's."""
     start = time.monotonic()
     diagnostics: dict = {}
-    payload = _BUILDERS[cfg.command](cfg, diagnostics)
+    payload = _BUILDERS[args.command](args, diagnostics)
     diagnostics["peak_rss_mb"] = _peak_rss_mb()
     return RunRecord(
         timestamp=datetime.now(timezone.utc).isoformat(),
         duration_s=round(time.monotonic() - start, 6),
-        config=cfg.echo(),
+        config=_config(args),
         payload=payload,
         diagnostics=diagnostics,
     )
@@ -422,11 +379,8 @@ def run(cfg: RunConfig) -> RunRecord:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _resolve(args)
-        record = run(cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        _resolve(args)
+        record = run(args)
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -437,15 +391,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    text = _render(cfg, record.payload)
+    text = _render(args, record.payload)
     try:
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
+        if args.out:
+            with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         else:
             print(text)
-        if cfg.log:
-            with open(cfg.log, "a") as fh:
+        if args.log:
+            with open(args.log, "a") as fh:
                 fh.write(json.dumps(asdict(record)) + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

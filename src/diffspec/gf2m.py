@@ -45,7 +45,6 @@ arenas cost a few MB of resident memory.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -229,6 +228,10 @@ def _sweep(field: GF2m, stop: int, work) -> int:
     workers = min(sweep_workers(field), len(starts))
     if workers <= 1:
         return sum(map(work, starts))
+    # Imported here: concurrent.futures pulls in logging, which processes
+    # whose fields stay below degree 22 never need.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(workers) as pool:
         totals = pool.map(lambda i: sum(map(work, starts[i::workers])), range(workers))
     return sum(totals)

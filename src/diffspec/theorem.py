@@ -48,16 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardExceededError, TheoremViolationError
-from .gf2m import GF2m, MAX_DEGREE
+from .errors import TheoremViolationError
+from .gf2m import GF2m
 from .powerfn import (
     PowerFunction,
     Spectrum,
     solution_counts,
     spectrum_from_counts,
 )
-
-MAX_N = MAX_DEGREE // 4
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +125,6 @@ class TheoremParams:
     def __init__(self, n: int, modulus: int | None = None):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        if n > MAX_N:
-            raise GuardExceededError(
-                f"n={n} needs degree {4 * n}, beyond the m <= {MAX_DEGREE} guard"
-            )
         self.n = n
         self.q = 1 << n
         self.m = 4 * n

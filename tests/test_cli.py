@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import diffspec
 import diffspec.theorem as theorem
 from diffspec.cli import EXIT_VERIFY_FAILED, main
 
@@ -60,6 +64,37 @@ def test_exit_code_validation(capsys):
     assert run_cli(capsys, "delta", "--n", "1", "--a", "0x10", "--b", "0x01")[0] == 1
     assert run_cli(capsys, "spectrum", "--m", "4", "--d", "3", "--method", "closed-form")[0] == 1
     assert run_cli(capsys, "spectrum", "--n", "2", "--modulus", "0x11c")[0] == 1
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("delta", "--n", "1", "--a", "0x0", "--b", "0x1"), "error: difference a must be nonzero\n"),
+    (("delta", "--n", "1", "--a", "0x10", "--b", "0x1"), "error: 16 is not an element of GF(2^4)\n"),
+    (("delta", "--n", "1", "--a", "0x1", "--b", "0x10"), "error: 16 is not an element of GF(2^4)\n"),
+    (("spectrum", "--n", "0"), "error: --n must be a positive integer, got 0\n"),
+], ids=["a-zero", "a-outside-field", "b-outside-field", "n-zero"])
+def test_validation_message(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("delta", "--n", "1", "--a", "zz", "--b", "0x1"),
+     "error: argument --a: expected a hex value, got 'zz'\n"),
+    (("spectrum", "--n", "1", "--modulus", "0xg"),
+     "error: argument --modulus: expected a hex value, got '0xg'\n"),
+], ids=["a", "modulus"])
+def test_bad_hex_value_names_the_flag(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # Fields below degree 22 never start a pool, so importing the CLI must
+    # not pay for concurrent.futures (and the logging it imports).
+    src = str(Path(diffspec.__file__).resolve().parents[1])
+    probe = ("import sys, diffspec.cli; "
+             "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_exit_code_unwritable_output(capsys, tmp_path):
@@ -317,6 +352,28 @@ def test_log_config_names_a_method_only_where_one_applies(capsys, tmp_path):
         assert config["command"] == argv[0]
         assert config.get("method") == method, argv
         assert list(config)[:2] == (["command", "method"] if method else ["command", "format"])
+
+
+def test_log_config_echoes_the_command_line(capsys, tmp_path):
+    log = tmp_path / "runs.ndjson"
+    runs = {
+        ("spectrum", "--m", "8", "--d", "7", "--modulus", "0x11d", "--format", "csv"):
+            {"command": "spectrum", "method": "brute", "format": "csv",
+             "m": 8, "d": 7, "modulus": "0x11d"},
+        ("spectrum", "--n", "2", "--method", "all", "--format", "table"):
+            {"command": "spectrum", "method": "all", "format": "table", "n": 2},
+        ("verify", "--n", "1", "--modulus", "0x19"):
+            {"command": "verify", "method": "all", "format": "json", "n": 1, "modulus": "0x19"},
+        ("delta", "--n", "1", "--a", "0x3", "--b", "0x5", "--format", "csv"):
+            {"command": "delta", "format": "csv", "n": 1, "a": "0x3", "b": "0x5"},
+        ("field-info", "--m", "8", "--d", "7"):
+            {"command": "field-info", "format": "json", "m": 8, "d": 7},
+    }
+    for argv in runs:
+        assert run_cli(capsys, *argv, "--log", str(log))[0] == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    for config, record in zip(runs.values(), records):
+        assert list(record["config"].items()) == list(config.items())
 
 
 def test_verify_log_explains_the_run(capsys, tmp_path):
