@@ -45,7 +45,7 @@ import numpy as np
 
 from . import powerfn, theorem
 from .errors import GuardExceededError, TheoremViolationError
-from .gf2m import GF2m, MAX_DEGREE, sweep_workers
+from .gf2m import GF2m, MAX_DEGREE, MIN_DEGREE, sweep_workers
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -139,6 +139,8 @@ def _resolve(args: argparse.Namespace) -> None:
     else:
         if args.d is None:
             raise ValueError("--m requires --d")
+        if args.m < MIN_DEGREE:
+            raise ValueError(f"--m must be an integer >= {MIN_DEGREE}, got {args.m}")
         if args.m > max_m:
             raise GuardExceededError(f"m={args.m} exceeds the m <= {max_m} guard")
         if args.method in ("structured", "closed-form", "all"):

@@ -372,11 +372,27 @@ class GF2m:
         return r
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse a^(2^m - 2); zero has none."""
-        self.check(a)
-        if a == 0:
+        """Multiplicative inverse; zero has none.
+
+        Extended Euclid on the packed polynomials of a and the modulus,
+        read at call time.  The remainders u, v and their cofactors g1, g2
+        keep g1*a = u and g2*a = v (mod modulus); each step cancels the
+        leading term of u with a shifted copy of v (swapping the pairs
+        first when v has the higher degree), so about 2m shift-and-XOR
+        steps reach u = 1, where g1 is the inverse and already below
+        degree m.  The tests check it against a^(2^m - 2).
+        """
+        u = self.check(a)
+        if u == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.degree})")
-        return self.pow(a, self.order - 2)
+        v, g1, g2 = self.modulus, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     # -- Frobenius, traces, square roots ------------------------------------
 

@@ -86,6 +86,15 @@ def test_bad_hex_value_names_the_flag(capsys, argv, err):
     assert run_cli(capsys, *argv) == (1, "", err)
 
 
+@pytest.mark.parametrize("command", [
+    ("spectrum",), ("delta", "--a", "0x1", "--b", "0x1"), ("field-info",),
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("m", ["3", "0", "-2"])
+def test_m_below_the_minimum_degree_names_the_flag(capsys, command, m):
+    argv = (command[0], "--m", m, "--d", "3") + command[1:]
+    assert run_cli(capsys, *argv) == (1, "", f"error: --m must be an integer >= 4, got {m}\n")
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     # Fields below degree 22 never start a pool, so importing the CLI must
     # not pay for concurrent.futures (and the logging it imports).

@@ -122,6 +122,43 @@ def test_inverse_exhaustive_m4(f16):
         f16.inv(0)
 
 
+DEGREE_8_MODULI = [v for v in range(0x101, 0x200, 2) if is_irreducible(v)]
+
+
+@pytest.mark.parametrize("m,modulus", [(4, None), (12, None)] + [(8, v) for v in DEGREE_8_MODULI])
+def test_inverse_is_the_group_power_exhaustive(m, modulus):
+    # a^(2^m - 2) is the inverse by Lagrange; inv must agree on every a.
+    fld = GF2m(m, modulus)
+    for a in range(1, fld.order):
+        assert fld.inv(a) == fld.pow(a, fld.order - 2)
+
+
+def test_inverse_exhaustive_m16():
+    fld = GF2m(16)
+    for a in range(1, fld.order):
+        inverse = fld.inv(a)
+        assert type(inverse) is int and 0 < inverse < fld.order
+        assert fld.mul(a, inverse) == 1
+
+
+# At m = 24, the default modulus and the two that seeded_irreducible(24, 2401)
+# and seeded_irreducible(24, 2402) give the threaded table tests.
+@pytest.mark.parametrize("m,modulus", [
+    (20, None), (22, None), (24, None), (24, 0x1D6C2E7), (24, 0x14FE18F),
+])
+def test_inverse_is_the_group_power_sampled(m, modulus):
+    fld = GF2m(m, modulus)
+    rng = random.Random(m ^ fld.modulus)
+    for a in [1, 2, fld.order - 1] + [rng.randrange(1, fld.order) for _ in range(300)]:
+        assert fld.inv(a) == fld.pow(a, fld.order - 2)
+
+
+def test_inverse_rejects_non_elements(f16):
+    for bad in (True, -1, f16.order):
+        with pytest.raises(ValueError, match="is not an element"):
+            f16.inv(bad)
+
+
 def test_pow_conventions(f16):
     assert f16.pow(0, 0) == 1
     assert f16.pow(0, 7) == 0

@@ -496,3 +496,19 @@ def test_planted_modulus_swap_fails_verify(modulus):
     p.field.log_tables()
     p.field.modulus = modulus
     assert_fault_caught(p)
+
+
+def test_planted_inverse_in_another_field_fails_verify(monkeypatch):
+    # Every inverse is taken modulo 0x11d while the field stays 0x11b.
+    p = TheoremParams(2)
+    wrong = GF2m(8, 0x11D)
+    real = GF2m.inv
+    monkeypatch.setattr(GF2m, "inv", lambda self, a: real(wrong, a))
+    assert_fault_caught(p)
+
+
+def test_planted_inverse_with_its_low_bit_flipped_fails_verify(monkeypatch):
+    p = TheoremParams(2)
+    real = GF2m.inv
+    monkeypatch.setattr(GF2m, "inv", lambda self, a: real(self, a) ^ 1)
+    assert_fault_caught(p)
