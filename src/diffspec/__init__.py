@@ -17,12 +17,11 @@ can check each other:
 """
 
 from .errors import GuardExceededError, TheoremViolationError
-from .gf2m import GF2m, ArtinSchreierSolver, smallest_irreducible
+from .gf2m import GF2m, smallest_irreducible
 from .powerfn import (
     PowerFunction,
     Spectrum,
     delta,
-    delta_via_normalization,
     derivative_table,
     solution_set,
     spectrum_brute,
@@ -47,12 +46,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2m",
-    "ArtinSchreierSolver",
     "smallest_irreducible",
     "PowerFunction",
     "Spectrum",
     "delta",
-    "delta_via_normalization",
     "derivative_table",
     "solution_set",
     "spectrum_brute",

@@ -15,8 +15,9 @@ instance checks here or the library), 2 guard exceeded, 3 a
 structured-solver claim failed, 4 the ``--out`` or ``--log`` file could
 not be written, 5 verify ran and reported ``pass: false``, or
 ``spectrum --method all`` reported ``agree: false``.  That ``agree``
-needs the brute and structured counts to match for every b, not only the
-three spectra: equal histograms can hide counts moved between b.
+needs the brute and structured counts to match for every b (it runs
+verify's cross-check), not only the three spectra: equal histograms can
+hide counts moved between b.
 
 The environment variable ``DIFFSPEC_MAX_M`` may lower (never raise) the
 built-in m <= 24 guard.  Identical configurations produce byte-identical
@@ -35,13 +36,12 @@ import csv
 import io
 import json
 import os
+import re
 import resource
 import sys
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import powerfn, theorem
 from .errors import GuardExceededError, TheoremViolationError
@@ -59,6 +59,12 @@ FORMATS = ("json", "csv", "table")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A dash and a digit start a value, not an option, so that a
+        # negative hex value such as -0x1 reaches its range check.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ValueError(message)
 
@@ -160,35 +166,27 @@ def _make_instance(args: argparse.Namespace):
 
 def _spectrum_payload(args: argparse.Namespace, diagnostics: dict) -> dict:
     params, f = _make_instance(args)
-
-    counts = {}
-    if args.method in ("brute", "all"):
-        counts["brute"] = powerfn.solution_counts(f)
-    if args.method in ("structured", "all"):
-        counts["structured"], _ = theorem.structured_counts(params)
-    methods = {name: powerfn.spectrum_from_counts(c, f) for name, c in counts.items()}
-    if args.method in ("closed-form", "all"):
-        methods["closed-form"] = theorem.spectrum_closed_form(params)
-
-    if args.method != "all":
-        return {**methods[args.method].to_json_dict(), "method": args.method}
-
-    first = methods["brute"]
-    agree = (np.array_equal(counts["brute"], counts["structured"])
-             and all(s.entries == first.entries for s in methods.values()))
-    return {
-        "m": first.m,
-        "d": first.d,
-        "poly": f"0x{first.poly:x}",
-        "agree": agree,
-        "methods": {
-            name.replace("-", "_"): {
-                "spectrum": {str(i): c for i, c in sorted(s.entries.items())},
-                "uniformity": s.uniformity,
-            }
-            for name, s in methods.items()
-        },
-    }
+    if args.method == "all":
+        report = theorem.verify_conjecture(params)
+        spectra = (report.brute, report.structured, report.closed_form)
+        return {
+            "m": f.field.degree,
+            "d": f.reported_exponent,
+            "poly": f"0x{f.field.modulus:x}",
+            "agree": (not report.mismatches
+                      and all(s.entries == report.brute.entries for s in spectra)),
+            "methods": {
+                name: {"spectrum": s.to_json_dict()["spectrum"], "uniformity": s.uniformity}
+                for name, s in zip(("brute", "structured", "closed_form"), spectra)
+            },
+        }
+    if args.method == "brute":
+        spectrum = powerfn.spectrum_brute(f)
+    elif args.method == "structured":
+        spectrum = powerfn.spectrum_from_counts(theorem.structured_counts(params)[0], f)
+    else:
+        spectrum = theorem.spectrum_closed_form(params)
+    return {**spectrum.to_json_dict(), "method": args.method}
 
 
 def _verify_payload(args: argparse.Namespace, diagnostics: dict) -> dict:

@@ -189,18 +189,13 @@ def _byte_tables(images: list[int]) -> np.ndarray:
 
 
 def _apply_byte_tables(tables: np.ndarray, src: np.ndarray, out: np.ndarray):
-    """out = L(src) elementwise for uint32 arrays, ``BULK_CHUNK`` at a time."""
-    byte = np.empty(min(BULK_CHUNK, len(src)), dtype=np.uint32)
-    for start in range(0, len(src), BULK_CHUNK):
-        s = src[start:start + BULK_CHUNK]
-        o = out[start:start + BULK_CHUNK]
-        b = byte[:len(s)]
-        np.bitwise_and(s, 0xFF, out=b)
-        np.take(tables[0], b, out=o)
-        for j in range(1, len(tables)):
-            np.right_shift(s, 8 * j, out=b)
-            b &= 0xFF
-            o ^= np.take(tables[j], b)
+    """out = L(src) elementwise for uint32 arrays; callers pass one slice."""
+    byte = src & 0xFF
+    np.take(tables[0], byte, out=out)
+    for j in range(1, len(tables)):
+        np.right_shift(src, 8 * j, out=byte)
+        byte &= 0xFF
+        out ^= np.take(tables[j], byte)
 
 
 def sweep_workers(field: GF2m) -> int:
@@ -237,30 +232,6 @@ def _sweep(field: GF2m, stop: int, work) -> int:
     return sum(totals)
 
 
-class ArtinSchreierSolver:
-    """Roots of z^2 + z = c in GF(2^m).
-
-    The map L(z) = z^2 + z is F2-linear with kernel {0, 1}, so each
-    solvable right-hand side (exactly those of absolute trace 0) has two
-    roots differing by 1.  Solving is done through a precomputed reduced
-    basis of L rather than a half-trace, because the fields of interest
-    here have even degree.
-    """
-
-    def __init__(self, field: "GF2m"):
-        self.field = field
-        cols = [field.mul(e, e) ^ e for e in (1 << i for i in range(field.degree))]
-        self._system = _LinearSystem(cols)
-
-    def solve(self, c: int) -> tuple[int, ...]:
-        """Both roots of z^2 + z = c, or () when the trace of c is 1."""
-        c = self.field.check(c)
-        z = self._system.solve(c)
-        if z is None:
-            return ()
-        return (z, z ^ 1) if z < (z ^ 1) else (z ^ 1, z)
-
-
 # ---------------------------------------------------------------------------
 # The field
 # ---------------------------------------------------------------------------
@@ -288,6 +259,8 @@ class GF2m:
             )
         if modulus is None:
             modulus = smallest_irreducible(degree)
+        elif not isinstance(modulus, int) or modulus < 0:
+            raise ValueError(f"modulus must be a non-negative integer, got {modulus!r}")
         else:
             if poly_degree(modulus) != degree:
                 raise ValueError(
@@ -303,7 +276,7 @@ class GF2m:
         self.degree = degree
         self.modulus = modulus
         self.order = 1 << degree          # number of field elements
-        self._as_solver: ArtinSchreierSolver | None = None
+        self._as_solver: _LinearSystem | None = None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._subfields: dict[int, list[int]] = {}
 
@@ -451,14 +424,20 @@ class GF2m:
 
     # -- quadratic equations -------------------------------------------------
 
-    def artin_schreier_solver(self) -> ArtinSchreierSolver:
+    def artin_schreier_solver(self) -> _LinearSystem:
+        """The reduced basis of the F2-linear map z -> z^2 + z, built once."""
         if self._as_solver is None:
-            self._as_solver = ArtinSchreierSolver(self)
+            cols = [self.mul(e, e) ^ e for e in (1 << i for i in range(self.degree))]
+            self._as_solver = _LinearSystem(cols)
         return self._as_solver
 
     def solve_artin_schreier(self, c: int) -> tuple[int, ...]:
-        """Roots of z^2 + z = c: two roots differing by 1, or none."""
-        return self.artin_schreier_solver().solve(c)
+        """Both roots of z^2 + z = c in increasing order, or () when c has
+        trace 1.  The map is F2-linear with kernel {0, 1}, so the roots of a
+        solvable c differ by 1; its reduced basis finds them in every degree,
+        where a half-trace fails in the even degrees of interest here."""
+        z = self.artin_schreier_solver().solve(self.check(c))
+        return () if z is None else (z & ~1, z | 1)
 
     def solve_quadratic(self, beta: int, gamma: int) -> tuple[int, ...]:
         """All field roots of x^2 + beta*x + gamma = 0.

@@ -182,38 +182,26 @@ def derivative_table(f: PowerFunction) -> np.ndarray:
 def delta(f: PowerFunction, a: int, b: int) -> int:
     """Exact number of x with F(x+a) + F(x) = b, by full sweep.
 
-    The sweep runs over aligned power-of-two chunks [s, s + C): there
-    x ^ a ranges over the aligned chunk s ^ (a & ~(C - 1)), permuted by
-    ^ (a & (C - 1)), so F(x ^ a) is one more chunk evaluation and no
-    field-sized array is built.  Each worker of the sweep sums its own
-    chunks' counts.
+    A power function scales: F(ay + a) + F(ay) = a^d (F(y+1) + F(y)), so
+    any a != 1 is first reduced to delta(1, b / a^d) on the calling thread.
+    The sweep then counts, slice by slice as in ``solution_counts``, the
+    even-aligned pairs {y, y ^ 1} whose derivative is that target, two
+    solutions per pair; each worker sums its own slices' counts.
     """
-    a = f.field.check(a)
-    b = f.field.check(b)
-    if a == 0:
-        raise ValueError("difference a must be nonzero")
-    order = f.field.order
-    size = min(BULK_CHUNK, order)
-    shift = a & ~(size - 1)
-    perm = np.arange(size) ^ (a & (size - 1))
-    tables = f.field.log_tables()
-
-    def count_chunk(start):
-        image = f._image_chunk(start, start + size, tables)
-        other = start ^ shift
-        partner = image if other == start else f._image_chunk(other, other + size, tables)
-        return int(np.count_nonzero((image ^ partner[perm]) == b))
-
-    return _sweep(f.field, order, count_chunk)
-
-
-def delta_via_normalization(f: PowerFunction, a: int, b: int) -> int:
-    """delta(a, b) through the monomial scaling delta(1, b / a^d)."""
     fld = f.field
     a = fld.check(a)
+    b = fld.check(b)
     if a == 0:
         raise ValueError("difference a must be nonzero")
-    return delta(f, 1, fld.mul(b, fld.inv(fld.pow(a, f.exponent))))
+    target = fld.mul(b, fld.inv(fld.pow(a, f.exponent)))
+    order = fld.order
+    tables = fld.log_tables()
+
+    def count_chunk(start):
+        image = f._image_chunk(start, min(start + BULK_CHUNK, order), tables)
+        return 2 * int(np.count_nonzero((image[0::2] ^ image[1::2]) == target))
+
+    return _sweep(fld, order, count_chunk)
 
 
 def solution_set(f: PowerFunction, b: int) -> set[int]:

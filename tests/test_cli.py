@@ -71,7 +71,11 @@ def test_exit_code_validation(capsys):
     (("delta", "--n", "1", "--a", "0x10", "--b", "0x1"), "error: 16 is not an element of GF(2^4)\n"),
     (("delta", "--n", "1", "--a", "0x1", "--b", "0x10"), "error: 16 is not an element of GF(2^4)\n"),
     (("spectrum", "--n", "0"), "error: --n must be a positive integer, got 0\n"),
-], ids=["a-zero", "a-outside-field", "b-outside-field", "n-zero"])
+    (("delta", "--n", "1", "--a", "-0x1", "--b", "0x1"), "error: -1 is not an element of GF(2^4)\n"),
+    (("delta", "--n", "1", "--a=-0x1", "--b", "0x1"), "error: -1 is not an element of GF(2^4)\n"),
+    (("delta", "--n", "1", "--a", "0x1", "--b", "-0x1"), "error: -1 is not an element of GF(2^4)\n"),
+], ids=["a-zero", "a-outside-field", "b-outside-field", "n-zero",
+        "a-negative", "a-negative-joined", "b-negative"])
 def test_validation_message(capsys, argv, err):
     assert run_cli(capsys, *argv) == (1, "", err)
 
@@ -84,6 +88,23 @@ def test_validation_message(capsys, argv, err):
 ], ids=["a", "modulus"])
 def test_bad_hex_value_names_the_flag(capsys, argv, err):
     assert run_cli(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("field-info", "--m", "4", "--d", "3", "--modulus=-0x13"),
+    ("field-info", "--m", "4", "--d", "3", "--modulus", "-0x13"),
+    ("verify", "--n", "1", "--modulus=-0x19"),
+], ids=["field-info-equals", "field-info-space", "verify-equals"])
+def test_negative_modulus_exits_validation(argv):
+    # In a subprocess with a timeout: a modulus that never drops in degree
+    # once made the irreducibility check loop forever.
+    src = str(Path(diffspec.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "diffspec.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (1, "")
+    value = argv[-1].rpartition("=")[2]
+    assert done.stderr == f"error: modulus must be a non-negative integer, got {int(value, 16)}\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -142,6 +163,75 @@ def test_spectrum_all_disagrees_on_counts_moved_between_b(capsys, monkeypatch):
     spectra = [body["spectrum"] for body in payload["methods"].values()]
     assert spectra[0] == {"0": 155, "2": 96, "12": 4, "16": 1}
     assert all(s == spectra[0] for s in spectra)
+
+
+SPECTRUM_ALL_RENDERINGS = {
+    (1, "csv"): """method,multiplicity,count
+brute,0,9
+brute,2,6
+brute,4,1
+structured,0,9
+structured,2,6
+structured,4,1
+closed_form,0,9
+closed_form,2,6
+closed_form,4,1
+all,agree,True
+""",
+    (1, "table"): """m=4 d=13 poly=0x13
+brute        w0=9  w2=6  w4=1
+structured   w0=9  w2=6  w4=1
+closed_form  w0=9  w2=6  w4=1
+agree: True
+""",
+    (2, "csv"): """method,multiplicity,count
+brute,0,155
+brute,2,96
+brute,12,4
+brute,16,1
+structured,0,155
+structured,2,96
+structured,12,4
+structured,16,1
+closed_form,0,155
+closed_form,2,96
+closed_form,12,4
+closed_form,16,1
+all,agree,True
+""",
+    (2, "table"): """m=8 d=83 poly=0x11b
+brute        w0=155  w2=96  w12=4  w16=1
+structured   w0=155  w2=96  w12=4  w16=1
+closed_form  w0=155  w2=96  w12=4  w16=1
+agree: True
+""",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(SPECTRUM_ALL_RENDERINGS))
+def test_spectrum_all_renderings_are_pinned(capsys, n, fmt):
+    argv = ("spectrum", "--n", str(n), "--method", "all", "--format", fmt)
+    assert run_cli(capsys, *argv) == (0, SPECTRUM_ALL_RENDERINGS[n, fmt], "")
+
+
+def test_spectrum_all_disagrees_on_a_flipped_antilog_entry(capsys, monkeypatch):
+    # The brute route reads the corrupted table, the structured route does not.
+    planted = theorem.TheoremParams(2)
+    exp, _ = planted.field.log_tables()
+    exp[5] ^= 1
+    monkeypatch.setattr(theorem, "TheoremParams", lambda n, modulus=None: planted)
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--method", "all")
+    assert code == EXIT_VERIFY_FAILED
+    assert json.loads(out)["agree"] is False
+
+
+def test_spectrum_all_unsplit_pair_quadratic_exits_theorem(capsys, monkeypatch):
+    from diffspec.gf2m import GF2m
+
+    monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: ())
+    code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--method", "all")
+    assert (code, out) == (3, "")
+    assert err.startswith("theorem violated: ") and "does not split" in err
 
 
 def test_spectrum_generic_instance(capsys):

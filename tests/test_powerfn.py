@@ -8,13 +8,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffspec.gf2m as gf2m
 from diffspec.gf2m import BULK_CHUNK, GF2m
 from diffspec.powerfn import (
     PowerFunction,
     delta,
-    delta_via_normalization,
     derivative_table,
     solution_counts,
     solution_set,
@@ -169,8 +170,6 @@ def test_delta_linear(f16):
 def test_delta_rejects_zero_difference(f16):
     with pytest.raises(ValueError):
         delta(PowerFunction(f16, 13), 0, 1)
-    with pytest.raises(ValueError):
-        delta_via_normalization(PowerFunction(f16, 13), 0, 1)
 
 
 def test_delta_even_and_totals(f16):
@@ -181,22 +180,39 @@ def test_delta_even_and_totals(f16):
         assert sum(counts) == 16
 
 
+def gathered_delta(image, a, b):
+    """Number of x with image[x ^ a] ^ image[x] == b: a count over every x
+    that does not scale a to 1."""
+    xs = np.arange(len(image))
+    return int(np.count_nonzero(image[xs ^ a] ^ image == b))
+
+
 def test_delta_normalization_exhaustive_m4(f16):
+    # Every (a, b) against the scalar sum over x.
     f = PowerFunction(f16, 13)
+    image = [f.eval(x) for x in range(16)]
     for a in range(1, 16):
         for b in range(16):
-            assert delta(f, a, b) == delta_via_normalization(f, a, b)
+            assert delta(f, a, b) == sum(image[x ^ a] ^ image[x] == b for x in range(16))
 
 
 @pytest.mark.parametrize("m,d", [(8, 83), (12, 583)])
 def test_delta_normalization_sampled(m, d):
     fld = GF2m(m)
     f = PowerFunction(fld, d)
+    image = f.image_table()
     rng = random.Random(d)
     for _ in range(1000):
         a = rng.randrange(1, fld.order)
         b = rng.randrange(fld.order)
-        assert delta(f, a, b) == delta_via_normalization(f, a, b)
+        assert delta(f, a, b) == gathered_delta(image, a, b), (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(1, 255), b=st.integers(0, 255))
+def test_delta_matches_gather_property(f256, a, b):
+    f = PowerFunction(f256, 83)
+    assert delta(f, a, b) == gathered_delta(f.image_table(), a, b)
 
 
 @pytest.mark.parametrize("m,d", [(8, 83), (12, 583), (16, 7), (17, 7)])
@@ -220,12 +236,6 @@ def test_delta_memory_bound(peak_traced_bytes):
     fld.log_tables()
     f = PowerFunction(fld, 1 + 2**10)
     assert peak_traced_bytes(lambda: delta(f, 0x5A5A5, 0x1234)) <= 4 * 2**20
-
-
-def test_delta_normalization_identity_cases(f16):
-    f = PowerFunction(f16, 13)
-    assert delta_via_normalization(f, 3, 0) == delta(f, 1, 0)
-    assert delta_via_normalization(f, 1, 5) == delta(f, 1, 5)
 
 
 def test_solution_set_sizes(f16):
