@@ -67,7 +67,13 @@ def poly_degree(p: int) -> int:
 
 
 def poly_mod(a: int, b: int) -> int:
-    """Remainder of carry-less division of a by b (b != 0)."""
+    """Remainder of carry-less division of a by b (a >= 0, b > 0).
+
+    A negative int is no packed polynomial: XOR with a shifted divisor
+    never lowers its bit length, so it is rejected rather than looped on.
+    """
+    if a < 0 or b <= 0:
+        raise ValueError(f"poly_mod needs a >= 0 and b > 0, got a={a}, b={b}")
     db = poly_degree(b)
     while a and poly_degree(a) >= db:
         a ^= b << (poly_degree(a) - db)
@@ -91,6 +97,8 @@ def find_factor(p: int) -> int | None:
     Tries every polynomial of degree 1..deg(p)//2 in increasing integer
     order, which is feasible for the degrees this package supports.
     """
+    if p < 0:
+        raise ValueError(f"polynomial must be a non-negative integer, got {p}")
     deg = poly_degree(p)
     if deg < 1:
         return None
@@ -101,8 +109,11 @@ def find_factor(p: int) -> int | None:
 
 
 def is_irreducible(p: int) -> bool:
-    """Irreducibility over F2 via trial division."""
-    return poly_degree(p) >= 1 and find_factor(p) is None
+    """Irreducibility over F2 via trial division.
+
+    ``find_factor`` runs first, so that a negative p raises ``ValueError``.
+    """
+    return find_factor(p) is None and poly_degree(p) >= 1
 
 
 def smallest_irreducible(degree: int) -> int:

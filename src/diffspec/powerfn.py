@@ -11,9 +11,15 @@ The sweep works on the field's antilog/log tables with numpy, making a
 single O(2^m) pass instead of the O(2^(2m)) per-output counting loop;
 that one-pass histogram is what keeps degree-16..24 sweeps interactive.
 It is fused and chunked: F is evaluated ``BULK_CHUNK`` inputs at a time
-and each slice is histogrammed straight into one ``uint32`` count array,
-so besides the tables a sweep holds only that array (64 MB at m = 24)
+and each slice is histogrammed straight into one ``uint16`` count array,
+so besides the tables a sweep holds only that array (32 MB at m = 24)
 and chunk-sized temporaries, never a field-sized image or int64 array.
+A count reaches 2^16 only for a degenerate exponent from m = 16 on
+(d = 0, a power of two, a multiple of 2^m - 1 and the like); the counts'
+total, which must be exactly 2^m, shows such a wrap, and the field is
+then swept again into a ``uint32`` array.  No exponent of the family comes
+near: its largest count is q^2 = 2^(m/2).  A brute ``spectrum`` at
+m = 24 peaks at about 203 MB resident, tables included.
 
 The chunk loops of ``solution_counts`` (so of ``spectrum_brute`` and
 ``verify_conjecture``) and of ``delta`` run through ``gf2m._sweep``, on
@@ -139,9 +145,11 @@ def spectrum_from_counts(counts, f: PowerFunction) -> Spectrum:
     """Spectrum from per-b solution counts, a list or array of ints.
 
     The counts are histogrammed ``BULK_CHUNK`` at a time.  Multiplicities
-    of ``BULK_CHUNK`` or more (at most 2^m / ``BULK_CHUNK`` of them when
-    the counts sum to 2^m) are tallied apart, so a linear or constant map,
-    whose single count is 2^m, needs no histogram of length 2^m + 1.
+    of ``BULK_CHUNK`` = 2^16 or more (at most 2^m / ``BULK_CHUNK`` of them
+    when the counts sum to 2^m) are tallied apart, so a linear or constant
+    map, whose single count is 2^m, needs no histogram of length 2^m + 1.
+    Only a list or the ``uint32`` result of ``solution_counts`` holds such
+    counts; its ``uint16`` result never does.
     """
     counts = np.asarray(counts)
     hist = np.zeros(min(int(counts.max()) + 1, BULK_CHUNK), dtype=np.int64)
@@ -214,18 +222,34 @@ def solution_set(f: PowerFunction, b: int) -> set[int]:
 def solution_counts(f: PowerFunction) -> np.ndarray:
     """Slot b holds the number of x with F(x+1) + F(x) = b, for every b.
 
-    Returns a ``uint32`` array of length 2^m.  F is evaluated one
-    ``BULK_CHUNK`` slice at a time; x and x ^ 1 share their derivative
-    value and sit side by side in an even-aligned slice, so each pair
-    adds 2 to its slot straight from the slice.  No derivative table or
-    int64 histogram of the field's size is built.  Slices are evaluated
-    on the sweep's workers; the adds into the one count array hold a
-    lock.
+    F is evaluated one ``BULK_CHUNK`` slice at a time; x and x ^ 1 share
+    their derivative value and sit side by side in an even-aligned slice,
+    so each pair adds 2 to its slot straight from the slice.  No
+    derivative table or int64 histogram of the field's size is built.
+    Slices are evaluated on the sweep's workers; the adds into the one
+    count array hold a lock.
+
+    The counts go into a ``uint16`` array first.  The 2^(m-1) pairs add
+    exactly 2^m, and a count that reached 2^16 wrapped and took a multiple
+    of 2^16 off that total, so the int64 sum of the array is 2^m exactly
+    when no count wrapped.  Otherwise (only a constant, linear or other
+    degenerate map, from m = 16 on) the ``uint16`` array is dropped and
+    the field is swept again into a ``uint32`` one.
     """
     order = f.field.order
+    counts = _pair_counts(f, np.uint16)
+    if int(counts.sum(dtype=np.int64)) != order:
+        del counts   # free the wrapped counts before the uint32 sweep
+        counts = _pair_counts(f, np.uint32)
+    return counts
+
+
+def _pair_counts(f: PowerFunction, dtype) -> np.ndarray:
+    """The sweep of ``solution_counts`` into a count array of ``dtype``."""
+    order = f.field.order
     tables = f.field.log_tables()
-    counts = np.zeros(order, dtype=np.uint32)
-    two = np.uint32(2)   # a Python int would take np.add.at's casting slow path
+    counts = np.zeros(order, dtype=dtype)
+    two = dtype(2)   # a Python int would take np.add.at's casting slow path
     lock = threading.Lock()
 
     def add_chunk(start):

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,24 @@ def test_irreducibility_helpers():
     assert not is_irreducible(0b10101)
     assert find_factor(0b10101) == 0b111
     assert poly_str(0x13) == "x^4 + x + 1"
+
+
+def test_polynomial_helpers_reject_negative_ints():
+    # In a subprocess with a timeout: XOR with a shifted divisor never
+    # lowers a negative int's bit length, so these once looped forever.
+    src = str(Path(gf2m.__file__).resolve().parents[1])
+    probe = (
+        "from diffspec.gf2m import find_factor, is_irreducible, poly_mod\n"
+        "for call, args in ((is_irreducible, (-19,)), (is_irreducible, (-1,)),\n"
+        "                   (find_factor, (-19,)), (poly_mod, (-19, 3)), (poly_mod, (19, 0))):\n"
+        "    try:\n"
+        "        print(call(*args))\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60).stdout
+    assert out == "ValueError\n" * 5
 
 
 def test_describe_format(f256):
@@ -509,3 +531,14 @@ def test_primitive_element_generates(f16):
         seen.add(x)
         x = f16.mul(x, g)
     assert len(seen) == f16.order - 1
+
+
+@pytest.mark.parametrize("v,primes", [
+    (4, [2]), (9, [3]), (25, [5]),                     # a prime squared, nothing else
+    (2**12 - 1, [3, 5, 7, 13]),                        # 3^2 * 5 * 7 * 13
+    (2**20 - 1, [3, 5, 11, 31, 41]),                   # 3 * 5^2 * 11 * 31 * 41
+    (2**24 - 1, [3, 5, 7, 13, 17, 241]),               # 3^2 * 5 * 7 * 13 * 17 * 241
+])
+def test_prime_factors_exact(v, primes):
+    # primitive_element tests g^((2^m - 1) / p) for exactly these p.
+    assert gf2m._prime_factors(v) == primes

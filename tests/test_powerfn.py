@@ -89,16 +89,32 @@ def test_solution_counts_match_full_histogram(f16, f256):
 @pytest.mark.parametrize("m", [4, 17, 20])
 def test_solution_counts_chunked_match_full_histogram(m):
     # m = 4 is one chunk shorter than BULK_CHUNK; m = 17 and 20 span several.
+    # From m = 16 the constant, linear and 2^m - 1 maps have a count of
+    # 2^m or 2^m - 2, which wraps in uint16; the random exponent's does not.
     fld = GF2m(m)
     order = fld.order
     rng = random.Random(m)
-    for d in (0, 1, 1 << rng.randrange(1, m), order - 1, 3 * (order - 1),
-              rng.randrange(2, order * order)):
+    degenerate = (0, 1, 1 << rng.randrange(1, m), order - 1, 3 * (order - 1))
+    for d in degenerate + (rng.randrange(2, order * order),):
         f = PowerFunction(fld, d)
         counts = solution_counts(f)
-        assert counts.dtype == np.uint32
         full = np.bincount(derivative_table(f), minlength=order)
+        wraps = m >= 16 and d in degenerate
+        assert wraps == (full.max() >= 1 << 16), d
+        assert counts.dtype == (np.uint32 if wraps else np.uint16), d
         assert np.array_equal(counts, full), d
+
+
+@pytest.mark.parametrize("d,dtype", [
+    (1, np.uint32),             # one count of 2^16, the first that wraps
+    (2**16 - 1, np.uint16),     # one count of 2^16 - 2, the largest that does not
+    (1 + 2**8, np.uint16),      # Gold: counts of 2^8
+])
+def test_solution_counts_width_at_the_wrap(d, dtype):
+    f = PowerFunction(GF2m(16), d)
+    counts = solution_counts(f)
+    assert counts.dtype == dtype
+    assert np.array_equal(counts, np.bincount(derivative_table(f), minlength=f.field.order))
 
 
 def test_spectrum_from_counts_inputs(f16):
@@ -123,13 +139,23 @@ def test_spectrum_from_counts_inputs(f16):
 
 
 def test_sweep_memory_bound(peak_traced_bytes):
-    # With the tables built, the uint32 counts (4 MiB at m = 20) are the
-    # only field-sized array; no image, derivative or int64 array fits.
+    # With the tables built, the uint16 counts (2 MiB at m = 20) are the
+    # only field-sized array; no uint32 count, image, derivative or int64
+    # array fits.
     fld = GF2m(20)
     fld.log_tables()
     f = PowerFunction(fld, 1 + 2**10)
-    assert peak_traced_bytes(lambda: solution_counts(f)) <= 6 * 2**20
-    assert peak_traced_bytes(lambda: spectrum_brute(f)) <= 6 * 2**20
+    assert peak_traced_bytes(lambda: solution_counts(f)) <= 4 * 2**20
+    assert peak_traced_bytes(lambda: spectrum_brute(f)) <= 4 * 2**20
+
+
+def test_wrapped_sweep_memory_bound(peak_traced_bytes):
+    # d = 1 wraps the uint16 counts: they must be freed before the uint32
+    # sweep allocates its 4 MiB, so the two never coexist (6 MiB).
+    fld = GF2m(20)
+    fld.log_tables()
+    f = PowerFunction(fld, 1)
+    assert peak_traced_bytes(lambda: solution_counts(f)) <= 5 * 2**20
 
 
 def test_image_table_matches_scalar_eval(f256):
@@ -343,12 +369,13 @@ def test_threaded_solution_counts_match_one_worker(f22, monkeypatch, workers):
     order = f22.order
     rng = random.Random(22)
     inverse = order - 2
-    for d in (0, 1, 1 << rng.randrange(1, 22), order - 1, 3 * (order - 1), inverse,
-              rng.randrange(2, order), rng.randrange(2, order * order)):
+    degenerate = (0, 1, 1 << rng.randrange(1, 22), order - 1, 3 * (order - 1))
+    for d in degenerate + (inverse, rng.randrange(2, order), rng.randrange(2, order * order)):
         f = PowerFunction(f22, d)
         serial = with_workers(monkeypatch, 1, lambda: solution_counts(f))
         threaded = with_workers(monkeypatch, workers, lambda: solution_counts(f))
-        assert threaded.dtype == np.uint32
+        expected = np.uint32 if d in degenerate else np.uint16
+        assert threaded.dtype == serial.dtype == expected, d
         assert np.array_equal(threaded, serial), d
 
 
@@ -428,8 +455,8 @@ def test_threaded_sweep_stress_with_fast_switching(monkeypatch):
 
 
 def test_threaded_sweep_memory_bound(f22, monkeypatch, peak_traced_bytes):
-    # The uint32 counts (16 MiB at m = 22) plus about 1 MiB of chunk
+    # The uint16 counts (8 MiB at m = 22) plus about 1 MiB of chunk
     # temporaries per worker; tracemalloc sees every thread's allocations.
     f = PowerFunction(f22, 1 + 2**11)
     peak = peak_traced_bytes(lambda: with_workers(monkeypatch, 4, lambda: spectrum_brute(f)))
-    assert peak <= 20 * 2**20
+    assert peak <= 12 * 2**20

@@ -71,6 +71,18 @@ def test_integer_predicates_up_to_n8():
         assert is_family_permutation(n)
 
 
+def test_integer_predicates_can_fail(monkeypatch):
+    # With d = 3 in place of the family exponent both predicates must turn
+    # false: 3 divides every q^4 - 1, and 3(q+1) - 2q^2(q+1) does not vanish
+    # mod q^4 - 1 from n = 2 on.
+    import diffspec.theorem as theorem_mod
+
+    monkeypatch.setattr(theorem_mod, "family_exponent", lambda n: 3)
+    for n in (2, 3, 4):
+        assert not congruence_holds(n)
+        assert not is_family_permutation(n)
+
+
 def test_congruence_worked_examples():
     # n=1: 13*3 - 2*4*3 = 15, divisible by 15; n=2: 83*5 - 2*16*5 = 255
     assert (13 * 3 - 2 * 4 * 3) % 15 == 0
