@@ -11,9 +11,11 @@ takes only ``--n`` and has no ``--method``: it always runs all three
 routes.  Elements on the command line are hex bit vectors of the
 polynomial-basis encoding.  Exit codes: 0 success (and, for verify,
 pass), 1 validation error (any ``ValueError``, from argparse, the
-instance checks here or the library), 2 guard exceeded, 3 a
-structured-solver claim failed, 4 the ``--out`` or ``--log`` file could
-not be written, 5 verify ran and reported ``pass: false``, or
+instance checks here or the library), 2 guard exceeded, 3 a claim of
+the structured solver or of the arithmetic failed (any
+``TheoremViolationError``, and any ``ZeroDivisionError``, since no user
+value reaches a divisor), 4 the ``--out`` or ``--log`` file could not
+be written, 5 verify ran and reported ``pass: false``, or
 ``spectrum --method all`` reported ``agree: false``.  That ``agree``
 needs the brute and structured counts to match for every b (it runs
 verify's cross-check), not only the three spectra: equal histograms can
@@ -384,10 +386,10 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except TheoremViolationError as exc:
+    except (TheoremViolationError, ZeroDivisionError) as exc:
         print(f"theorem violated: {exc}", file=sys.stderr)
         return EXIT_THEOREM
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

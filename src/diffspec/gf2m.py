@@ -17,6 +17,12 @@ Artin-Schreier solver for ``z^2 + z = c`` that works for any degree
 by inverting the F2-linear map ``z -> z^2 + z`` with Gaussian
 elimination.
 
+Each public method checks each element argument once, with ``check``.
+Every loop inside ``GF2m`` runs on two private kernels that assume field
+elements and check nothing: ``_mul`` and ``_frob`` (squarings through
+``_mul``).  A failed claim about the arithmetic itself raises
+``TheoremViolationError``.
+
 For exhaustive sweeps there is an accelerated bulk path: discrete
 log/antilog tables over a primitive element, stored as numpy arrays and
 built with a doubling construction.  Each doubling multiplies the known
@@ -48,7 +54,7 @@ import os
 
 import numpy as np
 
-from .errors import GuardExceededError
+from .errors import GuardExceededError, TheoremViolationError
 
 MIN_DEGREE = 4
 MAX_DEGREE = 24  # 2^24-entry tables are the desk-scale ceiling
@@ -320,9 +326,11 @@ class GF2m:
         return self.check(a) ^ self.check(b)
 
     def mul(self, a: int, b: int) -> int:
-        """Carry-less product reduced by the modulus, one shift at a time."""
-        a = self.check(a)
-        b = self.check(b)
+        """Carry-less product reduced by the modulus."""
+        return self._mul(self.check(a), self.check(b))
+
+    def _mul(self, a: int, b: int) -> int:
+        """Unchecked product of two field elements, one shift at a time."""
         mod = self.modulus
         top = self.order
         r = 0
@@ -350,8 +358,8 @@ class GF2m:
         r = 1
         while e:
             if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
+                r = self._mul(r, a)
+            a = self._mul(a, a)
             e >>= 1
         return r
 
@@ -385,25 +393,31 @@ class GF2m:
         a = self.check(a)
         if not 0 <= k < self.degree:
             raise ValueError(f"Frobenius power {k} out of range [0, {self.degree})")
+        return self._frob(a, k)
+
+    def _frob(self, a: int, k: int) -> int:
+        """Unchecked a^(2^k) for a field element a, by k squarings."""
         for _ in range(k):
-            a = self.mul(a, a)
+            a = self._mul(a, a)
         return a
 
     def abs_trace(self, a: int) -> int:
         """Absolute trace to F2: sum of a^(2^i) for i < m, returned as 0/1."""
-        return self._trace_sum(self.check(a), self.degree)
+        return self.subfield_abs_trace(a, self.degree)
 
     def rel_trace(self, a: int, sub_degree: int) -> int:
         """Relative trace into the degree-`sub_degree` subfield.
 
-        Computes the sum of a^(2^(i*sub_degree)) over the m/sub_degree
-        cosets; the result always lands in the subfield.
+        Sums a^(2^(i*sub_degree)) over the m/sub_degree cosets, each term
+        the Frobenius power of the last; the result lands in the subfield.
         """
         self._check_sub_degree(sub_degree)
-        t = self.check(a)
-        for i in range(1, self.degree // sub_degree):
-            t ^= self.frobenius_pow(a, i * sub_degree)
-        assert self.in_subfield(t, sub_degree)
+        t = cur = self.check(a)
+        for _ in range(1, self.degree // sub_degree):
+            cur = self._frob(cur, sub_degree)
+            t ^= cur
+        if self._frob(t, sub_degree) != t:
+            raise TheoremViolationError(f"relative trace 0x{t:x} left its subfield")
         return t
 
     def subfield_abs_trace(self, a: int, sub_degree: int) -> int:
@@ -412,33 +426,30 @@ class GF2m:
         For a in GF(2^sub_degree) this is the sum of a^(2^i), i <
         sub_degree, a value in {0, 1}.  Needed because the big field's
         absolute trace of a subfield element of even index is identically
-        zero and carries no information.
+        zero and carries no information.  One more squaring past the last
+        term tests membership: a^(2^sub_degree) = a.
         """
         self._check_sub_degree(sub_degree)
-        if not self.in_subfield(a, sub_degree):
-            raise ValueError(f"0x{a:x} is not in the degree-{sub_degree} subfield")
-        return self._trace_sum(a, sub_degree)
-
-    def _trace_sum(self, a: int, terms: int) -> int:
-        """a + a^2 + ... + a^(2^(terms-1)): the absolute trace of
-        GF(2^terms) for a member of that subfield, a value in {0, 1}."""
-        t = cur = a
-        for _ in range(terms - 1):
-            cur = self.mul(cur, cur)
+        t = cur = a = self.check(a)
+        for _ in range(sub_degree - 1):
+            cur = self._mul(cur, cur)
             t ^= cur
-        assert t <= 1
+        if self._mul(cur, cur) != a:
+            raise ValueError(f"0x{a:x} is not in the degree-{sub_degree} subfield")
+        if t > 1:
+            raise TheoremViolationError(f"trace 0x{t:x} of 0x{a:x} is not in F2")
         return t
 
     def sqrt(self, a: int) -> int:
         """The unique square root (squaring is a bijection), a^(2^(m-1))."""
-        return self.frobenius_pow(a, self.degree - 1)
+        return self._frob(self.check(a), self.degree - 1)
 
     # -- quadratic equations -------------------------------------------------
 
     def artin_schreier_solver(self) -> _LinearSystem:
         """The reduced basis of the F2-linear map z -> z^2 + z, built once."""
         if self._as_solver is None:
-            cols = [self.mul(e, e) ^ e for e in (1 << i for i in range(self.degree))]
+            cols = [self._mul(e, e) ^ e for e in (1 << i for i in range(self.degree))]
             self._as_solver = _LinearSystem(cols)
         return self._as_solver
 
@@ -457,52 +468,43 @@ class GF2m:
         sqrt(gamma); otherwise the substitution x = beta*z reduces it to
         z^2 + z = gamma / beta^2 and the Artin-Schreier solver applies.
         """
-        self.check(beta)
-        self.check(gamma)
+        beta = self.check(beta)
+        gamma = self.check(gamma)
         if beta == 0:
-            return (self.sqrt(gamma),)
+            return (self._frob(gamma, self.degree - 1),)
         ib = self.inv(beta)
-        c = self.mul(gamma, self.mul(ib, ib))
-        roots = tuple(self.mul(beta, z) for z in self.solve_artin_schreier(c))
-        return tuple(sorted(roots))
+        c = self._mul(gamma, self._mul(ib, ib))
+        return tuple(sorted(self._mul(beta, z) for z in self.solve_artin_schreier(c)))
 
     # -- multiplicative subgroups and subfields ------------------------------
 
     def in_mu(self, a: int, s: int) -> bool:
-        """Membership in mu_s = {x : x^s = 1}, the order-dividing-s subgroup."""
-        self.check(a)
+        """Membership in mu_s = {x : x^s = 1}, the order-dividing-s subgroup;
+        zero is never a member, since 0^s = 0 for s >= 1."""
         if s < 1:
             raise ValueError(f"subgroup exponent must be positive, got {s}")
-        return a != 0 and self.pow(a, s) == 1
+        return self.pow(a, s) == 1
 
     def in_subfield(self, a: int, sub_degree: int) -> bool:
         """True when a lies in GF(2^sub_degree), i.e. a^(2^sub_degree) = a."""
         self._check_sub_degree(sub_degree)
-        self.check(a)
-        if sub_degree == self.degree:
-            return True
-        return self.frobenius_pow(a, sub_degree) == a
+        a = self.check(a)
+        return sub_degree == self.degree or self._frob(a, sub_degree) == a
 
     def subfield_elements(self, sub_degree: int) -> list[int]:
         """All 2^sub_degree elements of the degree-`sub_degree` subfield.
 
-        Computed as the kernel of the linear map x -> x^(2^sub_degree) + x
-        rather than by scanning the whole field.
+        Computed once as the kernel of the linear map x -> x^(2^sub_degree)
+        + x rather than by scanning the whole field; each call gets a copy.
         """
         self._check_sub_degree(sub_degree)
         if sub_degree not in self._subfields:
-            if sub_degree == self.degree:
-                span = list(self.elements())
-            else:
-                cols = [
-                    self.frobenius_pow(1 << i, sub_degree) ^ (1 << i)
-                    for i in range(self.degree)
-                ]
-                span = [0]
-                for vec in _LinearSystem(cols).kernel:
-                    span += [s ^ vec for s in span]
+            cols = [self._frob(1 << i, sub_degree) ^ (1 << i) for i in range(self.degree)]
+            span = [0]
+            for vec in _LinearSystem(cols).kernel:
+                span += [s ^ vec for s in span]
             self._subfields[sub_degree] = sorted(span)
-        return self._subfields[sub_degree]
+        return list(self._subfields[sub_degree])
 
     def _check_sub_degree(self, sub_degree: int):
         if sub_degree < 1 or self.degree % sub_degree != 0:
@@ -519,7 +521,7 @@ class GF2m:
         for g in range(2, self.order):
             if all(self.pow(g, size // p) != 1 for p in factors):
                 return g
-        raise AssertionError("no primitive element found (broken arithmetic)")
+        raise TheoremViolationError("no primitive element found (broken arithmetic)")
 
     def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Discrete antilog/log tables (exp, log) over a primitive element.
@@ -566,10 +568,4 @@ class GF2m:
 
     def _scaled_basis(self, scalar: int) -> list[int]:
         """scalar * x^i for i < m: the basis images of multiplying by scalar."""
-        images = []
-        for _ in range(self.degree):
-            images.append(scalar)
-            scalar <<= 1
-            if scalar & self.order:
-                scalar ^= self.modulus
-        return images
+        return [self._mul(scalar, 1 << i) for i in range(self.degree)]

@@ -264,7 +264,7 @@ def circle_pair_state(params: TheoremParams, b: int) -> CirclePairState:
             )
         return CirclePairState(b, norm_term, cross_term, inv_gap)
 
-    total_trace = fld.add(b, b_q) ^ fld.add(b_q2, b_q3)   # trace down to GF(q)
+    total_trace = b ^ b_q ^ b_q2 ^ b_q3                   # trace down to GF(q)
     denom_inv = fld.inv(norm ^ 1)                         # (N + 1)^-1, N != 1 here
     denom_inv_q = fld.frobenius_pow(denom_inv, n)
     pair_sum = fld.mul(total_trace, denom_inv_q)          # (N+1)^-q * trace

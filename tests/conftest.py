@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 import diffspec.theorem as theorem
+from diffspec.gf2m import GF2m
 from diffspec.theorem import TheoremParams
 
 
@@ -31,6 +32,20 @@ def case_trace_calls(monkeypatch):
         return real(params, b)
 
     monkeypatch.setattr(theorem, "case_trace", counted)
+    return calls
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The argument of every ``GF2m.check`` call made during the test."""
+    calls = []
+    real = GF2m.check
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(GF2m, "check", counted)
     return calls
 
 

@@ -127,6 +127,19 @@ def test_import_leaves_the_thread_pool_unloaded():
     assert out == "[]\n"
 
 
+@pytest.mark.parametrize("product,err", [
+    (0, "theorem violated: 0 has no inverse in GF(2^8)\n"),
+    (1, "theorem violated: no primitive element found (broken arithmetic)\n"),
+], ids=["zero", "one"])
+def test_broken_arithmetic_exits_theorem(capsys, monkeypatch, product, err):
+    # A multiply that returns a constant: no primitive element exists, or
+    # a zero reaches an inverse.  Either is a broken core, not bad input.
+    from diffspec.gf2m import GF2m
+
+    monkeypatch.setattr(GF2m, "_mul", lambda self, a, b: product)
+    assert run_cli(capsys, "verify", "--n", "2") == (3, "", err)
+
+
 def test_exit_code_unwritable_output(capsys, tmp_path):
     missing = tmp_path / "no-such-dir"
     for flag in ("--out", "--log"):

@@ -190,11 +190,46 @@ def test_pow_conventions(f16):
         f16.pow(2, -1)
 
 
+# Every public scalar method, once per element argument, with the other
+# arguments valid in GF(2^4).
+ELEMENT_ARGUMENTS = [
+    ("mul", lambda f, x: f.mul(x, 1)), ("mul", lambda f, x: f.mul(1, x)),
+    ("add", lambda f, x: f.add(x, 1)), ("add", lambda f, x: f.add(1, x)),
+    ("pow", lambda f, x: f.pow(x, 3)),
+    ("inv", lambda f, x: f.inv(x)),
+    ("frobenius_pow", lambda f, x: f.frobenius_pow(x, 1)),
+    ("sqrt", lambda f, x: f.sqrt(x)),
+    ("in_subfield", lambda f, x: f.in_subfield(x, 2)),
+    ("in_mu", lambda f, x: f.in_mu(x, 5)),
+    ("abs_trace", lambda f, x: f.abs_trace(x)),
+    ("rel_trace", lambda f, x: f.rel_trace(x, 2)),
+    ("subfield_abs_trace", lambda f, x: f.subfield_abs_trace(x, 4)),
+    ("solve_quadratic", lambda f, x: f.solve_quadratic(x, 1)),
+    ("solve_quadratic", lambda f, x: f.solve_quadratic(1, x)),
+    ("solve_artin_schreier", lambda f, x: f.solve_artin_schreier(x)),
+]
+
+
 def test_element_validation(f16):
-    with pytest.raises(ValueError):
-        f16.mul(16, 1)
-    with pytest.raises(ValueError):
-        f16.add(1, -1)
+    for name, call in ELEMENT_ARGUMENTS:
+        for bad in (True, -1, f16.order):
+            with pytest.raises(ValueError, match="is not an element of GF"):
+                call(f16, bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.pow(0x53, f.order - 2),
+    lambda f: f.frobenius_pow(0x53, 7),
+    lambda f: f.sqrt(0x53),
+    lambda f: f.rel_trace(0x53, 2),
+    lambda f: f.rel_trace(0x53, 1),
+    lambda f: f.in_subfield(0x53, 4),
+], ids=["pow", "frobenius_pow", "sqrt", "rel_trace-2", "rel_trace-1", "in_subfield"])
+def test_one_check_per_element_argument(f256, check_calls, call):
+    # Internal products and squarings run unchecked; only the argument is.
+    call(f256)
+    assert check_calls == [0x53]
 
 
 @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
@@ -350,6 +385,15 @@ def test_subfield_elements_matches_predicate(f256):
         for a in listed[:8]:
             for b in listed[:8]:
                 assert f256.mul(a, b) in listed
+
+
+def test_subfield_elements_returns_a_copy():
+    fld = GF2m(8)
+    listed = fld.subfield_elements(4)
+    expected = list(listed)
+    listed.reverse()
+    listed.append(0x53)
+    assert fld.subfield_elements(4) == expected
 
 
 @pytest.mark.parametrize("m,n", [(8, 2), (12, 3)])

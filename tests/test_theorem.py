@@ -146,6 +146,14 @@ def test_verify_calls_case_trace_once_per_b(make_params, case_trace_calls):
     assert sorted(case_trace_calls) == list(range(p.field.order))
 
 
+def test_case_trace_checks_under_40_elements_per_b(make_params, check_calls):
+    # Field methods check each argument once and run their loops unchecked.
+    p = make_params(2)
+    for b in p.field.elements():
+        case_trace(p, b)
+    assert len(check_calls) < 40 * p.field.order
+
+
 def test_case_labels(make_params):
     p = make_params(2)
     assert case_trace(p, 0).case == "b=0"
