@@ -15,57 +15,3 @@ can check each other:
 :mod:`diffspec.gf2m` supplies the field arithmetic, and
 :mod:`diffspec.cli` exposes everything as the ``diffspec`` command.
 """
-
-from .errors import GuardExceededError, TheoremViolationError
-from .gf2m import GF2m, smallest_irreducible
-from .powerfn import (
-    PowerFunction,
-    Spectrum,
-    delta,
-    derivative_table,
-    solution_set,
-    spectrum_brute,
-)
-from .theorem import (
-    CaseTrace,
-    CirclePairState,
-    CircleWitness,
-    TheoremParams,
-    VerificationReport,
-    case_trace,
-    solutions_for_one,
-    solutions_off_subfield,
-    solutions_on_circle,
-    spectrum_closed_form,
-    structured_counts,
-    unit_circle,
-    verify_conjecture,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "GF2m",
-    "smallest_irreducible",
-    "PowerFunction",
-    "Spectrum",
-    "delta",
-    "derivative_table",
-    "solution_set",
-    "spectrum_brute",
-    "TheoremParams",
-    "CaseTrace",
-    "CirclePairState",
-    "CircleWitness",
-    "VerificationReport",
-    "case_trace",
-    "solutions_for_one",
-    "solutions_off_subfield",
-    "solutions_on_circle",
-    "spectrum_closed_form",
-    "structured_counts",
-    "unit_circle",
-    "verify_conjecture",
-    "GuardExceededError",
-    "TheoremViolationError",
-]

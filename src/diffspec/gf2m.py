@@ -18,10 +18,10 @@ by inverting the F2-linear map ``z -> z^2 + z`` with Gaussian
 elimination.
 
 Each public method checks each element argument once, with ``check``.
-Every loop inside ``GF2m`` runs on two private kernels that assume field
-elements and check nothing: ``_mul`` and ``_frob`` (squarings through
-``_mul``).  A failed claim about the arithmetic itself raises
-``TheoremViolationError``.
+Every loop inside ``GF2m`` runs on three private kernels that assume
+field elements and check nothing: ``_mul``, ``_frob`` (squarings through
+``_mul``) and ``_inv`` (extended Euclid, for a nonzero element).  A
+failed claim about the arithmetic itself raises ``TheoremViolationError``.
 
 For exhaustive sweeps there is an accelerated bulk path: discrete
 log/antilog tables over a primitive element, stored as numpy arrays and
@@ -316,14 +316,7 @@ class GF2m:
             raise ValueError(f"{a!r} is not an element of GF(2^{self.degree})")
         return int(a)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- ring operations ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        """Coefficient-wise sum mod 2 (XOR); also subtraction."""
-        return self.check(a) ^ self.check(b)
 
     def mul(self, a: int, b: int) -> int:
         """Carry-less product reduced by the modulus."""
@@ -364,7 +357,14 @@ class GF2m:
         return r
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse; zero has none.
+        """Multiplicative inverse; zero has none."""
+        a = self.check(a)
+        if a == 0:
+            raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.degree})")
+        return self._inv(a)
+
+    def _inv(self, a: int) -> int:
+        """Unchecked inverse of a nonzero field element a.
 
         Extended Euclid on the packed polynomials of a and the modulus,
         read at call time.  The remainders u, v and their cofactors g1, g2
@@ -374,10 +374,7 @@ class GF2m:
         steps reach u = 1, where g1 is the inverse and already below
         degree m.  The tests check it against a^(2^m - 2).
         """
-        u = self.check(a)
-        if u == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.degree})")
-        v, g1, g2 = self.modulus, 1, 0
+        u, v, g1, g2 = a, self.modulus, 1, 0
         while u != 1:
             j = u.bit_length() - v.bit_length()
             if j < 0:
@@ -472,9 +469,12 @@ class GF2m:
         gamma = self.check(gamma)
         if beta == 0:
             return (self._frob(gamma, self.degree - 1),)
-        ib = self.inv(beta)
-        c = self._mul(gamma, self._mul(ib, ib))
-        return tuple(sorted(self._mul(beta, z) for z in self.solve_artin_schreier(c)))
+        ib = self._inv(beta)
+        z = self.artin_schreier_solver().solve(self._mul(gamma, self._mul(ib, ib)))
+        if z is None:
+            return ()
+        x = self._mul(beta, z)
+        return tuple(sorted((x, x ^ beta)))
 
     # -- multiplicative subgroups and subfields ------------------------------
 

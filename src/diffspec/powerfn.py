@@ -71,9 +71,6 @@ class PowerFunction:
     def __repr__(self):
         return f"PowerFunction(x^{self.reported_exponent} over {self.field.describe()})"
 
-    def eval(self, x: int) -> int:
-        return self.field.pow(x, self.exponent)
-
     def _image_chunk(self, start: int, stop: int, tables) -> np.ndarray:
         """x^d for x in [start, stop), as g^(log(x) * d mod (2^m - 1)).
 
@@ -124,12 +121,6 @@ class Spectrum:
     def uniformity(self) -> int:
         """Differential uniformity: the largest occurring multiplicity."""
         return max(self.entries)
-
-    def count_total(self) -> int:
-        return sum(self.entries.values())
-
-    def solution_total(self) -> int:
-        return sum(i * c for i, c in self.entries.items())
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,6 +16,10 @@ the determination as executable machinery rather than as a sweep:
   - b outside GF(q^2): 0 or 2 solutions, decided by whether a certain
     monic quadratic has its roots on the unit circle.
 
+  Every b outside {0, 1} goes through ``circle_pair_state`` first, and
+  its C = b^-1 + b^(-q^2) alone decides membership of GF(q^2): C = 0
+  exactly on the subfield.  The dispatch makes no other subfield test.
+
 * ``structured_counts`` runs that dispatch over the whole field, the one
   loop behind ``verify_conjecture`` and ``spectrum --method structured``.
 
@@ -177,6 +181,10 @@ class CirclePairState:
       (equal to N^q*T + T^q);
     - inv_gap    C = b^-1 + b^(-q^2), zero exactly when b is in GF(q^2).
 
+    C = 0 is the dispatch's one subfield decision; that it agrees with
+    b^(q^2) = b, the conjugate taken as n more squarings of b^q, is a
+    claim checked for every b.
+
     Off the subfield and away from the degenerate gates, the two circle
     parameters gamma with x^(2q^2) = (b + gamma)/(pair_sum) solving the
     derivative equation are the unit-circle roots of
@@ -229,7 +237,7 @@ def circle_pair_state(params: TheoremParams, b: int) -> CirclePairState:
         raise ValueError("circle pair analysis needs b outside {0, 1}")
 
     b_q = fld.frobenius_pow(b, n)
-    b_q2 = fld.frobenius_pow(b, 2 * n)
+    b_q2 = fld.frobenius_pow(b_q, n)
     b_q3 = fld.frobenius_pow(b_q2, n)
     norm = fld.mul(b, b_q2)                      # N = b^(q^2+1)
     norm_term = norm ^ fld.mul(norm, norm)        # A = N + N^2
@@ -292,7 +300,8 @@ def circle_pair_state(params: TheoremParams, b: int) -> CirclePairState:
 
 
 def case_trace(params: TheoremParams, b: int) -> CaseTrace:
-    """Structured count for b together with the branch that produced it."""
+    """Structured count for b together with the branch that produced it;
+    b outside {0, 1} is in GF(q^2) exactly when its pair state has C = 0."""
     fld = params.field
     n, q = params.n, params.q
     b = fld.check(b)
@@ -300,12 +309,12 @@ def case_trace(params: TheoremParams, b: int) -> CaseTrace:
         return CaseTrace(b, "b=0", 0)
     if b == 1:
         return CaseTrace(b, "b=1", q * q)
-    if fld.in_subfield(b, 2 * n):
-        if fld.mul(b, fld.frobenius_pow(b, n)) == 1:    # b^(q+1) = 1
-            return CaseTrace(b, "unit-circle", q * q - q)
-        return CaseTrace(b, "subfield", 0)
     state = circle_pair_state(params, b)
-    return CaseTrace(b, "quadratic", len(state.circle_roots), state)
+    if state.inv_gap:
+        return CaseTrace(b, "quadratic", len(state.circle_roots), state)
+    if fld.mul(b, fld.frobenius_pow(b, n)) == 1:        # b^(q+1) = 1
+        return CaseTrace(b, "unit-circle", q * q - q)
+    return CaseTrace(b, "subfield", 0)
 
 
 def structured_counts(params: TheoremParams) -> tuple[np.ndarray, dict[str, int]]:

@@ -182,7 +182,7 @@ def test_criterion_08_structural_assertions_never_fire(make_params):
 
 def test_criterion_09_arithmetic_property_suite():
     f16 = GF2m(4)
-    els = list(f16.elements())
+    els = range(f16.order)
     for a in els:
         if a:
             assert f16.mul(a, f16.inv(a)) == 1
@@ -244,8 +244,8 @@ def test_criterion_11_sum_identities_for_every_spectrum(make_params):
         collected_spectra.append(spectrum_closed_form(make_params(n)))
     assert len(collected_spectra) >= 15
     for s in collected_spectra:
-        assert s.count_total() == 1 << s.m
-        assert s.solution_total() == 1 << s.m
+        assert sum(s.entries.values()) == 1 << s.m
+        assert sum(i * c for i, c in s.entries.items()) == 1 << s.m
     _report(11, f"both sum identities exact on {len(collected_spectra)} spectra")
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diffspec.theorem as theorem
+from diffspec import cli
 from diffspec.errors import GuardExceededError, TheoremViolationError
 from diffspec.gf2m import GF2m, is_irreducible
 from diffspec.powerfn import delta, derivative_table, solution_set, spectrum_brute
@@ -75,9 +77,7 @@ def test_integer_predicates_can_fail(monkeypatch):
     # With d = 3 in place of the family exponent both predicates must turn
     # false: 3 divides every q^4 - 1, and 3(q+1) - 2q^2(q+1) does not vanish
     # mod q^4 - 1 from n = 2 on.
-    import diffspec.theorem as theorem_mod
-
-    monkeypatch.setattr(theorem_mod, "family_exponent", lambda n: 3)
+    monkeypatch.setattr(theorem, "family_exponent", lambda n: 3)
     for n in (2, 3, 4):
         assert not congruence_holds(n)
         assert not is_family_permutation(n)
@@ -146,12 +146,51 @@ def test_verify_calls_case_trace_once_per_b(make_params, case_trace_calls):
     assert sorted(case_trace_calls) == list(range(p.field.order))
 
 
-def test_case_trace_checks_under_40_elements_per_b(make_params, check_calls):
+def test_verify_calls_circle_pair_state_once_per_b_outside_0_1(make_params, monkeypatch):
+    # C = 0 decides the subfield branch, so every b but 0 and 1 needs its state.
+    p = make_params(2)
+    calls = []
+    real = theorem.circle_pair_state
+
+    def counted(params, b):
+        calls.append(b)
+        return real(params, b)
+
+    monkeypatch.setattr(theorem, "circle_pair_state", counted)
+    assert verify_conjecture(p).passed
+    assert sorted(calls) == list(range(2, p.field.order))
+
+
+def test_case_trace_checks_under_32_elements_per_b(make_params, check_calls):
     # Field methods check each argument once and run their loops unchecked.
     p = make_params(2)
-    for b in p.field.elements():
+    for b in range(p.field.order):
         case_trace(p, b)
-    assert len(check_calls) < 40 * p.field.order
+    assert len(check_calls) < 32 * p.field.order
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_case_trace_is_frobenius_equivariant_property(make_params, n, data):
+    # D(x^2) = D(x)^2, so b and b^2 share count and branch, and every audit
+    # quantity of b^2 is the square of that of b.
+    p = make_params(n)
+    fld = p.field
+    b = data.draw(st.integers(0, fld.order - 1), label="b")
+    b2 = fld.mul(b, b)
+    t, t2 = case_trace(p, b), case_trace(p, b2)
+    assert (t.count, t.branch) == (t2.count, t2.branch)
+    if t.state is None:
+        assert t2.state is None
+        return
+
+    def square(v):
+        return None if v is None else fld.mul(v, v)
+
+    for name in ("norm_term", "cross_term", "inv_gap", "pair_sum", "pair_product"):
+        assert square(getattr(t.state, name)) == getattr(t2.state, name), name
+    assert sorted(map(square, t.state.circle_roots)) == sorted(t2.state.circle_roots)
 
 
 def test_case_labels(make_params):
@@ -349,8 +388,8 @@ def test_spectrum_closed_form_frozen(make_params):
 def test_spectrum_closed_form_sum_identities(make_params):
     for n in range(1, 7):
         s = spectrum_closed_form(make_params(n))
-        assert s.count_total() == 1 << (4 * n)
-        assert s.solution_total() == 1 << (4 * n)
+        assert sum(s.entries.values()) == 1 << (4 * n)
+        assert sum(i * c for i, c in s.entries.items()) == 1 << (4 * n)
         assert sum(family_branches(n).values()) == 1 << (4 * n)
 
 
@@ -451,9 +490,7 @@ def test_verify_report_json_schema(make_params):
 
 
 def test_instance_invariants_raise_theorem_channel(monkeypatch):
-    import diffspec.theorem as theorem_mod
-
-    monkeypatch.setattr(theorem_mod, "congruence_holds", lambda n: False)
+    monkeypatch.setattr(theorem, "congruence_holds", lambda n: False)
     with pytest.raises(TheoremViolationError):
         TheoremParams(1)
 
@@ -466,6 +503,54 @@ def test_unsplit_pair_quadratic_raises_theorem_channel(make_params, monkeypatch)
     )
     monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: ())
     with pytest.raises(TheoremViolationError, match="does not split"):
+        case_trace(p, b)
+
+
+def test_derived_terms_outside_subfield_raise_theorem_channel(make_params, monkeypatch,
+                                                              capsys):
+    p = make_params(2)
+    monkeypatch.setattr(GF2m, "in_subfield", lambda self, a, sub_degree: False)
+    with pytest.raises(TheoremViolationError, match="derived terms left"):
+        case_trace(p, 0x02)
+    assert cli.main(["verify", "--n", "2"]) == cli.EXIT_THEOREM
+    assert "derived terms left" in capsys.readouterr().err
+
+
+def test_subfield_and_inv_gap_disagreeing_raise_theorem_channel(make_params, monkeypatch):
+    # For b in GF(q^2), b^(q^2) = b, so any deterministic inverse gives
+    # C = b^-1 + b^-1 = 0.  Only an inverse whose result depends on the call
+    # (here bit 0 flipped on every other call) can break C = 0 there.
+    p = make_params(2)
+    real = GF2m.inv
+    calls = []
+
+    def alternating(self, a):
+        calls.append(a)
+        return real(self, a) ^ (len(calls) & 1)
+
+    monkeypatch.setattr(GF2m, "inv", alternating)
+    subfield = sorted(set(p.field.subfield_elements(4)) - {0, 1})
+    assert len(subfield) == 14
+    for b in subfield:
+        with pytest.raises(TheoremViolationError, match="C = 0 disagree"):
+            case_trace(p, b)
+
+
+def test_vanishing_norm_and_cross_terms_raise_theorem_channel(make_params, monkeypatch):
+    p = make_params(2)
+    monkeypatch.setattr(GF2m, "frobenius_pow", lambda self, a, k: 0x02)
+    monkeypatch.setattr(GF2m, "mul", lambda self, a, b: 0)
+    with pytest.raises(TheoremViolationError, match="norm and cross terms both vanished"):
+        case_trace(p, 0x03)
+
+
+def test_one_root_on_circle_raises_theorem_channel(make_params, monkeypatch):
+    p = make_params(2)
+    b = next(b for b in range(2, p.field.order) if case_trace(p, b).count == 2)
+    real = GF2m.solve_quadratic
+    monkeypatch.setattr(GF2m, "solve_quadratic",
+                        lambda self, beta, gamma: (0,) + real(self, beta, gamma)[1:])
+    with pytest.raises(TheoremViolationError, match="exactly one root"):
         case_trace(p, b)
 
 
