@@ -444,19 +444,13 @@ class GF2m:
     # -- quadratic equations -------------------------------------------------
 
     def artin_schreier_solver(self) -> _LinearSystem:
-        """The reduced basis of the F2-linear map z -> z^2 + z, built once."""
+        """The reduced basis of the F2-linear map z -> z^2 + z, built once;
+        ``solve(c)`` gives one root (the other is its xor with 1), or None
+        exactly when c has trace 1."""
         if self._as_solver is None:
             cols = [self._mul(e, e) ^ e for e in (1 << i for i in range(self.degree))]
             self._as_solver = _LinearSystem(cols)
         return self._as_solver
-
-    def solve_artin_schreier(self, c: int) -> tuple[int, ...]:
-        """Both roots of z^2 + z = c in increasing order, or () when c has
-        trace 1.  The map is F2-linear with kernel {0, 1}, so the roots of a
-        solvable c differ by 1; its reduced basis finds them in every degree,
-        where a half-trace fails in the even degrees of interest here."""
-        z = self.artin_schreier_solver().solve(self.check(c))
-        return () if z is None else (z & ~1, z | 1)
 
     def solve_quadratic(self, beta: int, gamma: int) -> tuple[int, ...]:
         """All field roots of x^2 + beta*x + gamma = 0.

@@ -320,16 +320,17 @@ def case_trace(params: TheoremParams, b: int) -> CaseTrace:
 def structured_counts(params: TheoremParams) -> tuple[np.ndarray, dict[str, int]]:
     """The ``case_trace`` count of every b, and how many b reached each branch.
 
-    Counts come back as an int64 array indexed by b; the branch tally is
-    keyed like ``family_branches``.  No sweep over x is made.
+    Counts come back as a ``uint16`` array indexed by b, the brute sweep's
+    format (no count exceeds q^2 <= 2^12); the branch tally is keyed like
+    ``family_branches``.  No sweep over x is made.
     """
     branches = dict.fromkeys(family_branches(params.n), 0)
-    counts = []
+    counts = np.zeros(params.field.order, dtype=np.uint16)
     for b in range(params.field.order):
         trace = case_trace(params, b)
-        counts.append(trace.count)
+        counts[b] = trace.count
         branches[trace.branch] += 1
-    return np.array(counts), branches
+    return counts, branches
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +475,13 @@ def solutions_off_subfield(params: TheoremParams, b: int) -> set[int]:
 
     Each circle root gamma determines one solution through
     x^(2q^2) = (b + gamma) / pair_sum; the map u -> u^(2q^2) is a
-    bijection, inverted by a single modular-inverse exponent.
+    bijection, inverted by a single modular-inverse exponent.  b in
+    GF(q^2) is rejected by the pair state's C = 0, as in ``case_trace``.
     """
     fld = params.field
-    if fld.in_subfield(fld.check(b), 2 * params.n):
-        raise ValueError(f"b=0x{b:x} lies in the quadratic subfield")
     state = circle_pair_state(params, b)
+    if not state.inv_gap:
+        raise ValueError(f"b=0x{b:x} lies in the quadratic subfield")
     if not state.circle_roots:
         return set()
     recover = pow(2 * params.q * params.q, -1, fld.order - 1)

@@ -192,8 +192,10 @@ def test_criterion_09_arithmetic_property_suite():
                 assert f16.mul(f16.mul(a, b), c) == f16.mul(a, f16.mul(b, c))
                 assert f16.mul(a, b ^ c) == f16.mul(a, b) ^ f16.mul(a, c)
     for c in els:
-        roots = f16.solve_artin_schreier(c)
-        assert bool(roots) == (f16.abs_trace(c) == 0)
+        z = f16.artin_schreier_solver().solve(c)
+        assert (z is None) == (f16.abs_trace(c) == 1)
+        if z is not None:
+            assert f16.mul(z, z) ^ z == c
 
     cases = 0
     for m in (8, 12, 16):
@@ -213,10 +215,10 @@ def test_criterion_09_arithmetic_property_suite():
                 fld.frobenius_pow(a, k), fld.frobenius_pow(b, k)
             )
             assert fld.abs_trace(a ^ b) == fld.abs_trace(a) ^ fld.abs_trace(b)
-            roots = fld.solve_artin_schreier(c)
-            assert bool(roots) == (fld.abs_trace(c) == 0)
-            if roots:
-                assert all(fld.mul(r, r) ^ r == c for r in roots)
+            z = fld.artin_schreier_solver().solve(c)
+            assert (z is None) == (fld.abs_trace(c) == 1)
+            if z is not None:
+                assert fld.mul(z, z) ^ z == c
             cases += 1
     assert cases == 30_000
     _report(9, "field laws exhaustive at m=4; 10^4 random cases at m=8,12,16")

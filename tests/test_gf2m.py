@@ -198,7 +198,6 @@ ELEMENT_ARGUMENTS = [
     ("subfield_abs_trace", lambda f, x: f.subfield_abs_trace(x, 4)),
     ("solve_quadratic", lambda f, x: f.solve_quadratic(x, 1)),
     ("solve_quadratic", lambda f, x: f.solve_quadratic(1, x)),
-    ("solve_artin_schreier", lambda f, x: f.solve_artin_schreier(x)),
 ]
 
 
@@ -319,19 +318,16 @@ def test_sqrt(f16):
 # -- quadratic machinery -----------------------------------------------------
 
 def test_artin_schreier_trivial(f16):
-    assert f16.solve_artin_schreier(0) == (0, 1)
+    assert f16.artin_schreier_solver().solve(0) in (0, 1)
 
 
 def test_artin_schreier_exhaustive(f256):
+    solver = f256.artin_schreier_solver()
     for c in range(f256.order):
-        roots = f256.solve_artin_schreier(c)
-        if f256.abs_trace(c) == 1:
-            assert roots == ()
-        else:
-            assert len(roots) == 2
-            assert roots[0] ^ roots[1] == 1
-            for r in roots:
-                assert f256.mul(r, r) ^ r == c
+        z = solver.solve(c)
+        assert (z is None) == (f256.abs_trace(c) == 1)
+        if z is not None:
+            assert f256.mul(z, z) ^ z == c
 
 
 def test_solve_quadratic_special_cases(f16):

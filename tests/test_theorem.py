@@ -135,9 +135,18 @@ def test_case_trace_count_matches_delta_property(make_params, n, data):
 def test_structured_counts_is_case_trace_for_every_b(make_params, n, modulus):
     p = make_params(n, modulus)
     counts, branches = structured_counts(p)
-    assert counts.dtype == np.int64
+    assert counts.dtype == np.uint16
     assert counts.tolist() == [case_trace(p, b).count for b in range(p.field.order)]
     assert branches == family_branches(n)
+
+
+def test_structured_counts_memory_bound(make_params, monkeypatch, peak_traced_bytes):
+    # The uint16 counts (128 KiB at n = 4) are the only field-sized buffer;
+    # no per-b Python list or int64 array is built on the way.
+    p = make_params(4)
+    fixed = theorem.CaseTrace(2, "subfield", 0)
+    monkeypatch.setattr(theorem, "case_trace", lambda params, b: fixed)
+    assert peak_traced_bytes(lambda: structured_counts(p)) <= 256 * 2**10
 
 
 def test_verify_calls_case_trace_once_per_b(make_params, case_trace_calls):
@@ -368,6 +377,38 @@ def test_solutions_off_subfield_validation(make_params):
     p = make_params(2)
     with pytest.raises(ValueError):
         solutions_off_subfield(p, 1)
+
+
+def test_solutions_off_subfield_rejects_the_subfield_by_its_pair_state(make_params, monkeypatch):
+    # The pair state's C = 0 is the one subfield decision: one state per b,
+    # and no in_subfield call outside it.
+    p = make_params(2)
+    subfield = p.field.subfield_elements(4)
+    states, outside, inside = [], [], []
+    real_state, real_in_subfield = theorem.circle_pair_state, GF2m.in_subfield
+
+    def counted_state(params, b):
+        states.append(b)
+        inside.append(b)
+        try:
+            return real_state(params, b)
+        finally:
+            inside.pop()
+
+    def counted_in_subfield(self, a, sub_degree):
+        if not inside:
+            outside.append(a)
+        return real_in_subfield(self, a, sub_degree)
+
+    monkeypatch.setattr(theorem, "circle_pair_state", counted_state)
+    monkeypatch.setattr(GF2m, "in_subfield", counted_in_subfield)
+    assert len(subfield) == p.q ** 2
+    for b in subfield:
+        states.clear()
+        with pytest.raises(ValueError):
+            solutions_off_subfield(p, b)
+        assert states == [b]
+    assert outside == []
 
 
 def test_recovery_exponent_closed_form():
