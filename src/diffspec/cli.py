@@ -19,7 +19,9 @@ be written, 5 verify ran and reported ``pass: false``, or
 ``spectrum --method all`` reported ``agree: false``.  That ``agree``
 needs the brute and structured counts to match for every b (it runs
 verify's cross-check), not only the three spectra: equal histograms can
-hide counts moved between b.
+hide counts moved between b.  A verify payload's ``mismatch_count`` is
+the number of b whose counts disagree, and ``mismatches`` lists the
+first 32 of them by b; the csv and table formats print the count.
 
 The environment variable ``DIFFSPEC_MAX_M`` may lower (never raise) the
 built-in m <= 24 guard.  Identical configurations produce byte-identical
@@ -175,7 +177,7 @@ def _spectrum_payload(args: argparse.Namespace, diagnostics: dict) -> dict:
             "m": f.field.degree,
             "d": f.reported_exponent,
             "poly": f"0x{f.field.modulus:x}",
-            "agree": (not report.mismatches
+            "agree": (report.mismatch_count == 0
                       and all(s.entries == report.brute.entries for s in spectra)),
             "methods": {
                 name: {"spectrum": s.to_json_dict()["spectrum"], "uniformity": s.uniformity}
@@ -274,7 +276,7 @@ def _csv_rows(command: str, payload: dict) -> list[list]:
             rows += [[section, i, c] for i, c in payload[section].items()]
         rows += [["conjecture", k, v] for k, v in payload["conjecture"].items()]
         rows.append(["result", "pass", payload["pass"]])
-        rows.append(["result", "mismatches", len(payload["mismatches"])])
+        rows.append(["result", "mismatches", payload["mismatch_count"]])
         return rows
     # delta / field-info: flat key,value rows
     rows = [["key", "value"]]
@@ -306,7 +308,7 @@ def _format_table(command: str, payload: dict) -> str:
         lines.append("brute:       " + "  ".join(f"w{i}={c}" for i, c in payload["brute"].items()))
         for key, value in payload["conjecture"].items():
             lines.append(f"{key}: {value}")
-        lines.append(f"mismatches: {len(payload['mismatches'])}")
+        lines.append(f"mismatches: {payload['mismatch_count']}")
     elif command == "delta":
         lines.append(
             f"delta(a={payload['a']}, b={payload['b']}) = {payload['delta']}"

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ import diffspec.theorem as theorem
 from diffspec import cli
 from diffspec.errors import GuardExceededError, TheoremViolationError
 from diffspec.gf2m import GF2m, is_irreducible
-from diffspec.powerfn import delta, derivative_table, solution_set, spectrum_brute
+from diffspec.powerfn import (
+    delta,
+    derivative_table,
+    solution_counts,
+    solution_set,
+    spectrum_brute,
+)
 from diffspec.theorem import (
     TheoremParams,
     case_trace,
@@ -520,14 +527,101 @@ def test_verify_report_branches_and_timings(make_params):
 def test_verify_report_json_schema(make_params):
     payload = verify_conjecture(make_params(2)).to_json_dict()
     assert set(payload) == {
-        "n", "d", "poly", "pass", "closed_form", "brute", "mismatches", "conjecture",
+        "n", "d", "poly", "pass", "closed_form", "brute", "mismatch_count", "mismatches",
+        "conjecture",
     }
     assert payload["pass"] is True
     assert payload["poly"] == "0x11b"
     assert payload["closed_form"] == {"0": 155, "2": 96, "12": 4, "16": 1}
     assert payload["brute"] == payload["closed_form"]
+    assert payload["mismatch_count"] == 0
     assert payload["mismatches"] == []
     assert set(payload["conjecture"]) == {"one_b_q2", "qn_values", "rest_le_2"}
+
+
+def test_verify_counts_every_mismatch_and_lists_the_first_32(make_params, monkeypatch,
+                                                             capsys):
+    # All-zero structured counts disagree wherever the brute count is not 0:
+    # 4096 - omega_0 = 4096 - 2295 = 1801 b at n = 3.
+    p = make_params(3)
+    zeros = np.zeros(p.field.order, dtype=np.uint16)
+    monkeypatch.setattr(theorem, "structured_counts",
+                        lambda params: (zeros, family_branches(3)))
+    report = verify_conjecture(p)
+    assert report.mismatch_count == 1801
+    assert len(report.mismatches) == theorem.MISMATCH_SAMPLE == 32
+    brute = solution_counts(p.power_function())
+    first = np.flatnonzero(brute)[:32].tolist()
+    assert report.mismatches == [(b, 0, int(brute[b])) for b in first]
+    assert not report.passed
+    payload = report.to_json_dict()
+    assert payload["mismatch_count"] == 1801 and len(payload["mismatches"]) == 32
+    assert cli.main(["verify", "--n", "3"]) == cli.EXIT_VERIFY_FAILED
+    assert cli.main(["verify", "--n", "3", "--format", "csv"]) == cli.EXIT_VERIFY_FAILED
+    assert cli.main(["verify", "--n", "3", "--format", "table"]) == cli.EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "result,mismatches,1801\n" in out
+    assert "mismatches: 1801" in out.splitlines()
+
+
+def test_verify_compare_phase_memory_bound(make_params, monkeypatch):
+    # The count clauses read index arrays of at most q + 1 b, so the compare
+    # phase's largest buffer is one transient bool per b (64 KiB at n = 4).
+    p = make_params(4)
+    brute = solution_counts(p.power_function())
+    monkeypatch.setattr(theorem, "structured_counts",
+                        lambda params: (brute.copy(), family_branches(4)))
+    real = theorem.spectrum_from_counts
+    held = []
+
+    def then_reset_peak(counts, f):
+        # The structured spectrum is the last work before the compare phase.
+        spectrum = real(counts, f)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return spectrum
+
+    monkeypatch.setattr(theorem, "spectrum_from_counts", then_reset_peak)
+    tracemalloc.start()
+    try:
+        report = verify_conjecture(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak - held[-1] <= 128 * 2**10
+
+
+def _plant(params, brute, fault):
+    """A copy of the brute counts with one b moved by ``fault``."""
+    circle = unit_circle(params) - {1}
+    planted = brute.copy()
+    if fault == "b1_to_0":
+        planted[1] = 0
+    elif fault == "circle_to_0":
+        planted[min(circle)] = 0
+    else:
+        # 6 is above 2 and is neither q^2 nor q^2 - q for n = 1, 2, 3.
+        b = next(b for b in range(2, params.field.order)
+                 if brute[b] == 0 and b not in circle)
+        planted[b] = 6
+    return planted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fault,clause", [
+    ("b1_to_0", "one_b_full"),
+    ("circle_to_0", "circle_values"),
+    ("zero_to_6", "rest_at_most_2"),
+])
+def test_each_count_clause_is_live(make_params, monkeypatch, n, fault, clause):
+    p = make_params(n)
+    planted = _plant(p, solution_counts(p.power_function()), fault)
+    monkeypatch.setattr(theorem, "solution_counts", lambda f: planted)
+    report = verify_conjecture(p)
+    clauses = ("one_b_full", "circle_values", "rest_at_most_2")
+    assert {c: getattr(report, c) for c in clauses} == {c: c != clause for c in clauses}
+    assert not report.passed
 
 
 def test_instance_invariants_raise_theorem_channel(monkeypatch):
