@@ -20,8 +20,10 @@ elimination.
 Each public method checks each element argument once, with ``check``.
 Every loop inside ``GF2m`` runs on three private kernels that assume
 field elements and check nothing: ``_mul``, ``_frob`` (squarings through
-``_mul``) and ``_inv`` (extended Euclid, for a nonzero element).  A
-failed claim about the arithmetic itself raises ``TheoremViolationError``.
+``_mul``) and ``_inv`` (extended Euclid; zero raises ``ZeroDivisionError``).
+Outside ``GF2m`` only the per-b dispatch, :func:`diffspec.theorem.case_trace`,
+calls them, once it has checked its b.  A failed claim about the
+arithmetic itself raises ``TheoremViolationError``.
 
 For exhaustive sweeps there is an accelerated bulk path: discrete
 log/antilog tables over a primitive element, stored as numpy arrays and
@@ -358,13 +360,10 @@ class GF2m:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; zero has none."""
-        a = self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.degree})")
-        return self._inv(a)
+        return self._inv(self.check(a))
 
     def _inv(self, a: int) -> int:
-        """Unchecked inverse of a nonzero field element a.
+        """Unchecked inverse of a field element a; 0 raises, never loops.
 
         Extended Euclid on the packed polynomials of a and the modulus,
         read at call time.  The remainders u, v and their cofactors g1, g2
@@ -374,6 +373,8 @@ class GF2m:
         steps reach u = 1, where g1 is the inverse and already below
         degree m.  The tests check it against a^(2^m - 2).
         """
+        if a == 0:
+            raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.degree})")
         u, v, g1, g2 = a, self.modulus, 1, 0
         while u != 1:
             j = u.bit_length() - v.bit_length()

@@ -16,9 +16,10 @@ the determination as executable machinery rather than as a sweep:
   - b outside GF(q^2): 0 or 2 solutions, decided by whether a certain
     monic quadratic has its roots on the unit circle.
 
-  Every b outside {0, 1} goes through ``circle_pair_state`` first, and
-  its C = b^-1 + b^(-q^2) alone decides membership of GF(q^2): C = 0
-  exactly on the subfield.  The dispatch makes no other subfield test.
+  ``case_trace`` is the one per-b entry point: it checks b once, runs on
+  the unchecked field kernels, and for every b outside {0, 1} its
+  C = b^-1 + b^(-q^2) alone decides membership of GF(q^2): C = 0 exactly
+  on the subfield.  The dispatch makes no other subfield test.
 
 * ``structured_counts`` runs that dispatch over the whole field, the one
   loop behind ``verify_conjecture`` and ``spectrum --method structured``.
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TheoremViolationError
-from .gf2m import GF2m
+from .gf2m import BULK_CHUNK, GF2m
 from .powerfn import (
     PowerFunction,
     Spectrum,
@@ -169,7 +170,7 @@ def unit_circle(params: TheoremParams) -> set[int]:
 
 @dataclass(frozen=True)
 class CirclePairState:
-    """Audit record for one b not in {0, 1}.
+    """Audit record of ``case_trace`` for one b outside GF(q^2).
 
     ``norm_term``, ``cross_term`` and ``inv_gap`` are the three derived
     quantities controlling the off-subfield branch (printed as A, B, C in
@@ -181,9 +182,9 @@ class CirclePairState:
       (equal to N^q*T + T^q);
     - inv_gap    C = b^-1 + b^(-q^2), zero exactly when b is in GF(q^2).
 
-    C = 0 is the dispatch's one subfield decision; that it agrees with
-    b^(q^2) = b, the conjugate taken as n more squarings of b^q, is a
-    claim checked for every b.
+    ``case_trace`` derives them for every b outside {0, 1}; C = 0 is its
+    one subfield decision, and that it agrees with b^(q^2) = b (n more
+    squarings of b^q) is a claim checked for each such b.
 
     Off the subfield and away from the degenerate gates, the two circle
     parameters gamma with x^(2q^2) = (b + gamma)/(pair_sum) solving the
@@ -227,40 +228,44 @@ class CaseTrace:
         return "quadratic0.off_circle"
 
 
-def circle_pair_state(params: TheoremParams, b: int) -> CirclePairState:
-    """Compute the audit quantities for b (b not in {0, 1}) and, when b is
-    off the quadratic subfield, solve for the unit-circle root pair."""
+def case_trace(params: TheoremParams, b: int) -> CaseTrace:
+    """Structured count for b, the branch that produced it and, in the
+    quadratic case only, the pair state.  b is checked once; all later
+    field work but the public pair-quadratic solver runs on the kernels."""
     fld = params.field
     n, q = params.n, params.q
     b = fld.check(b)
-    if b in (0, 1):
-        raise ValueError("circle pair analysis needs b outside {0, 1}")
+    if b == 0:
+        return CaseTrace(b, "b=0", 0)
+    if b == 1:
+        return CaseTrace(b, "b=1", q * q)
+    mul, frob = fld._mul, fld._frob
 
-    b_q = fld.frobenius_pow(b, n)
-    b_q2 = fld.frobenius_pow(b_q, n)
-    b_q3 = fld.frobenius_pow(b_q2, n)
-    norm = fld.mul(b, b_q2)                      # N = b^(q^2+1)
-    norm_term = norm ^ fld.mul(norm, norm)        # A = N + N^2
-    cross_term = (                                # B, from its defining exponents
-        fld.mul(fld.mul(b_q3, b_q2), b_q)
-        ^ fld.mul(fld.mul(b_q3, b_q), b)
+    b_q = frob(b, n)
+    b_q2 = frob(b_q, n)
+    b_q3 = frob(b_q2, n)
+    norm = mul(b, b_q2)                          # N = b^(q^2+1)
+    norm_term = norm ^ mul(norm, norm)           # A = N + N^2
+    cross_term = (                               # B, from its defining exponents
+        mul(mul(b_q3, b_q2), b_q)
+        ^ mul(mul(b_q3, b_q), b)
         ^ b_q3
         ^ b_q
     )
-    inv_gap = fld.inv(b) ^ fld.inv(b_q2)          # C = b^-1 + b^(-q^2)
+    inv_gap = fld._inv(b) ^ fld._inv(b_q2)       # C = b^-1 + b^(-q^2)
 
-    two_n = 2 * n
-    if not fld.in_subfield(norm_term, two_n) or not fld.in_subfield(cross_term, two_n):
+    if frob(norm_term, 2 * n) != norm_term or frob(cross_term, 2 * n) != cross_term:
         raise TheoremViolationError(
             f"derived terms left the quadratic subfield for b=0x{b:x}"
         )
-    on_subfield = b_q2 == b
-    if on_subfield != (inv_gap == 0):
+    if (b_q2 == b) != (inv_gap == 0):
         raise TheoremViolationError(
             f"subfield membership and C = 0 disagree for b=0x{b:x}"
         )
-    if on_subfield:
-        return CirclePairState(b, norm_term, cross_term, inv_gap)
+    if not inv_gap:
+        if mul(b, b_q) == 1:                     # b^(q+1) = 1
+            return CaseTrace(b, "unit-circle", q * q - q)
+        return CaseTrace(b, "subfield", 0)
 
     if norm_term == 0:
         # b has norm 1 into GF(q^2) (it sits on the order-(q^2+1) circle).
@@ -270,51 +275,33 @@ def circle_pair_state(params: TheoremParams, b: int) -> CirclePairState:
             raise TheoremViolationError(
                 f"norm and cross terms both vanished off the subfield, b=0x{b:x}"
             )
-        return CirclePairState(b, norm_term, cross_term, inv_gap)
+        return CaseTrace(b, "quadratic", 0,
+                         CirclePairState(b, norm_term, cross_term, inv_gap))
 
     total_trace = b ^ b_q ^ b_q2 ^ b_q3                   # trace down to GF(q)
-    denom_inv = fld.inv(norm ^ 1)                         # (N + 1)^-1, N != 1 here
-    denom_inv_q = fld.frobenius_pow(denom_inv, n)
-    pair_sum = fld.mul(total_trace, denom_inv_q)          # (N+1)^-q * trace
-    pair_product = fld.mul(norm ^ 1, denom_inv_q)         # (N+1)^(1-q)
+    denom_inv_q = frob(fld._inv(norm ^ 1), n)             # (N + 1)^-q, N != 1 here
+    pair_sum = mul(total_trace, denom_inv_q)              # (N+1)^-q * trace
+    pair_product = mul(norm ^ 1, denom_inv_q)             # (N+1)^(1-q)
     if pair_sum == 0:
         # Zero relative trace: the candidate pair would collapse to a
         # double root, contradicting its construction; no solutions.
-        return CirclePairState(b, norm_term, cross_term, inv_gap,
-                               pair_sum, pair_product)
+        return CaseTrace(b, "quadratic", 0,
+                         CirclePairState(b, norm_term, cross_term, inv_gap,
+                                         pair_sum, pair_product))
 
     roots = fld.solve_quadratic(pair_sum, pair_product)
     if not roots:
         raise TheoremViolationError(
             f"the pair quadratic t^2 + S t + P does not split, b=0x{b:x}"
         )
-    on_circle = tuple(
-        r for r in roots if r != 0 and fld.mul(r, fld.frobenius_pow(r, n)) == 1
-    )
+    on_circle = tuple(r for r in roots if r != 0 and mul(r, frob(r, n)) == 1)
     if len(on_circle) == 1:
         raise TheoremViolationError(
             f"exactly one root of the pair equation on the unit circle, b=0x{b:x}"
         )
-    return CirclePairState(b, norm_term, cross_term, inv_gap,
-                           pair_sum, pair_product, on_circle)
-
-
-def case_trace(params: TheoremParams, b: int) -> CaseTrace:
-    """Structured count for b together with the branch that produced it;
-    b outside {0, 1} is in GF(q^2) exactly when its pair state has C = 0."""
-    fld = params.field
-    n, q = params.n, params.q
-    b = fld.check(b)
-    if b == 0:
-        return CaseTrace(b, "b=0", 0)
-    if b == 1:
-        return CaseTrace(b, "b=1", q * q)
-    state = circle_pair_state(params, b)
-    if state.inv_gap:
-        return CaseTrace(b, "quadratic", len(state.circle_roots), state)
-    if fld.mul(b, fld.frobenius_pow(b, n)) == 1:        # b^(q+1) = 1
-        return CaseTrace(b, "unit-circle", q * q - q)
-    return CaseTrace(b, "subfield", 0)
+    return CaseTrace(b, "quadratic", len(on_circle),
+                     CirclePairState(b, norm_term, cross_term, inv_gap,
+                                     pair_sum, pair_product, on_circle))
 
 
 def structured_counts(params: TheoremParams) -> tuple[np.ndarray, dict[str, int]]:
@@ -475,12 +462,13 @@ def solutions_off_subfield(params: TheoremParams, b: int) -> set[int]:
 
     Each circle root gamma determines one solution through
     x^(2q^2) = (b + gamma) / pair_sum; the map u -> u^(2q^2) is a
-    bijection, inverted by a single modular-inverse exponent.  b in
-    GF(q^2) is rejected by the pair state's C = 0, as in ``case_trace``.
+    bijection, inverted by a single modular-inverse exponent.  The pair
+    state is ``case_trace(params, b).state``; every b whose trace has none
+    (b in GF(q^2), C = 0) raises ``ValueError``.
     """
     fld = params.field
-    state = circle_pair_state(params, b)
-    if not state.inv_gap:
+    state = case_trace(params, b).state
+    if state is None:
         raise ValueError(f"b=0x{b:x} lies in the quadratic subfield")
     if not state.circle_roots:
         return set()
@@ -626,11 +614,18 @@ def verify_conjecture(params: TheoremParams) -> VerificationReport:
     counts, branches = structured_counts(params)
     structured = spectrum_from_counts(counts, f)
     lap("structured")
-    differ = np.flatnonzero(counts != per_b)
-    mismatches = [
-        (b, int(counts[b]), int(per_b[b]))
-        for b in differ[:MISMATCH_SAMPLE].tolist()
-    ]
+    # One transient bool per b for the count; the sample scans chunk by
+    # chunk and keeps only the offsets it lists, no index of every mismatch.
+    mismatch_count = int(np.count_nonzero(counts != per_b))
+    mismatches: list[tuple[int, int, int]] = []
+    start = 0
+    while len(mismatches) < min(mismatch_count, MISMATCH_SAMPLE):
+        stop = start + BULK_CHUNK
+        need = MISMATCH_SAMPLE - len(mismatches)
+        offsets = np.flatnonzero(counts[start:stop] != per_b[start:stop])[:need].tolist()
+        mismatches += [(start + i, int(counts[start + i]), int(per_b[start + i]))
+                       for i in offsets]
+        start = stop
 
     # Each clause reads the b whose count is exceptional; an index array
     # longer than the clause allows fails it before any .tolist().
@@ -650,7 +645,7 @@ def verify_conjecture(params: TheoremParams) -> VerificationReport:
         closed_form=closed,
         brute=brute,
         structured=structured,
-        mismatch_count=differ.size,
+        mismatch_count=mismatch_count,
         mismatches=mismatches,
         one_b_full=one_b_full,
         circle_values=circle_values,

@@ -20,7 +20,6 @@ from diffspec.powerfn import (
 )
 from diffspec.theorem import (
     case_trace,
-    circle_pair_state,
     congruence_holds,
     family_exponent,
     is_family_permutation,
@@ -170,7 +169,7 @@ def test_criterion_08_structural_assertions_never_fire(make_params):
         for b in range(2, p.field.order):
             if b in sub:
                 continue
-            state = circle_pair_state(p, b)
+            state = case_trace(p, b).state
             assert len(state.circle_roots) in (0, 2)
             if not p.field.in_subfield(state.norm_term, 2 * n):
                 raise AssertionError("norm term left the subfield")

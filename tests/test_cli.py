@@ -315,6 +315,23 @@ def test_output_byte_identical_to_golden(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+# The smallest b of each dispatch branch at n = 2 over the default 0x11b.
+DELTA_BRANCH_B = {
+    "b0": 0x0, "b1": 0x1, "unit_circle": 0xC, "subfield": 0xD, "quadratic2": 0x2,
+    "quadratic0.norm_gate": 0x8, "quadratic0.zero_trace": 0x6,
+    "quadratic0.off_circle": 0xE,
+}
+
+
+@pytest.mark.parametrize("branch", sorted(DELTA_BRANCH_B))
+def test_delta_output_byte_identical_to_golden_on_each_branch(capsys, make_params, branch):
+    b = DELTA_BRANCH_B[branch]
+    assert theorem.case_trace(make_params(2), b).branch == branch
+    code, out, _ = run_cli(capsys, "delta", "--n", "2", "--a", "0x1", "--b", f"0x{b:x}")
+    assert code == 0
+    assert out == (GOLDEN / f"delta_n2_{branch}.json").read_text()
+
+
 def test_verify_failure_has_its_own_exit_code(capsys, monkeypatch):
     # n = 2 tables with one corrupted antilog entry: the brute route then
     # disagrees with the structured one, and verify must say so.

@@ -135,6 +135,9 @@ def test_inverse_exhaustive_m4(f16):
     assert f16.inv(1) == 1
     with pytest.raises(ZeroDivisionError):
         f16.inv(0)
+    # The kernel the dispatch calls directly refuses zero too, never loops.
+    with pytest.raises(ZeroDivisionError):
+        f16._inv(0)
 
 
 DEGREE_8_MODULI = [v for v in range(0x101, 0x200, 2) if is_irreducible(v)]

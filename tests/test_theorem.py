@@ -20,7 +20,6 @@ from diffspec.powerfn import (
 from diffspec.theorem import (
     TheoremParams,
     case_trace,
-    circle_pair_state,
     circle_witnesses,
     congruence_holds,
     family_branches,
@@ -162,27 +161,50 @@ def test_verify_calls_case_trace_once_per_b(make_params, case_trace_calls):
     assert sorted(case_trace_calls) == list(range(p.field.order))
 
 
-def test_verify_calls_circle_pair_state_once_per_b_outside_0_1(make_params, monkeypatch):
-    # C = 0 decides the subfield branch, so every b but 0 and 1 needs its state.
+def test_verify_takes_c_once_per_b_outside_0_1(make_params, monkeypatch):
+    # C = b^-1 + b^(-q^2) decides the subfield branch, so in its one
+    # case_trace call every b but 0 and 1 first takes the two inverses of C.
     p = make_params(2)
-    calls = []
-    real = theorem.circle_pair_state
+    fld = p.field
+    taken = []   # (b, the argument of each inverse taken since its case_trace began)
+    real_trace, real_inv = theorem.case_trace, GF2m._inv
 
-    def counted(params, b):
-        calls.append(b)
-        return real(params, b)
+    def traced(params, b):
+        taken.append((b, []))
+        return real_trace(params, b)
 
-    monkeypatch.setattr(theorem, "circle_pair_state", counted)
+    def recorded(self, a):
+        if taken:
+            taken[-1][1].append(a)
+        return real_inv(self, a)
+
+    monkeypatch.setattr(theorem, "case_trace", traced)
+    monkeypatch.setattr(GF2m, "_inv", recorded)
     assert verify_conjecture(p).passed
-    assert sorted(calls) == list(range(2, p.field.order))
+    assert [b for b, _ in taken] == list(range(fld.order))
+    assert taken[0][1] == taken[1][1] == []
+    for b, args in taken[2:]:
+        assert args[:2] == [b, fld.frobenius_pow(b, 2 * p.n)], b
 
 
-def test_case_trace_checks_under_32_elements_per_b(make_params, check_calls):
-    # Field methods check each argument once and run their loops unchecked.
-    p = make_params(2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_case_trace_checks_b_once_plus_two_per_solve_quadratic(make_params, check_calls,
+                                                               monkeypatch, n):
+    # b is checked at the entry and the dispatch runs on the unchecked
+    # kernels; only the public solver checks its two arguments again.
+    p = make_params(n)
+    solves = []
+    real = GF2m.solve_quadratic
+
+    def counted(self, beta, gamma):
+        solves.append(beta)
+        return real(self, beta, gamma)
+
+    monkeypatch.setattr(GF2m, "solve_quadratic", counted)
     for b in range(p.field.order):
         case_trace(p, b)
-    assert len(check_calls) < 32 * p.field.order
+    assert len(check_calls) == p.field.order + 2 * len(solves)
+    assert len(check_calls) <= 3 * p.field.order
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -237,10 +259,10 @@ def test_norm_gate_branch(make_params):
         ]
         assert len(gate_bs) == p.q ** 2   # the order-(q^2+1) circle minus 1
         for b in gate_bs:
-            state = circle_pair_state(p, b)
-            assert state.norm_term == 0
-            assert state.circle_roots == ()
-            assert case_trace(p, b).count == 0 == int(per_b[b])
+            t = case_trace(p, b)
+            assert t.state.norm_term == 0
+            assert t.state.circle_roots == ()
+            assert t.count == 0 == int(per_b[b])
 
 
 def test_zero_trace_branch(make_params):
@@ -254,31 +276,34 @@ def test_zero_trace_branch(make_params):
             if b < 2 or fld.in_subfield(b, 2 * n):
                 continue
             if fld.rel_trace(b, n) == 0 and fld.pow(b, p.q ** 2 + 1) != 1:
-                state = circle_pair_state(p, b)
-                assert state.pair_sum == 0
-                assert case_trace(p, b).count == 0 == int(per_b[b])
+                t = case_trace(p, b)
+                assert t.state.pair_sum == 0
+                assert t.count == 0 == int(per_b[b])
                 hit += 1
         assert hit > 0
 
 
-def test_circle_pair_state_validation(make_params):
+def test_case_trace_validation(make_params):
+    # b is checked once, at the entry; b = 0 and 1 carry no pair state.
     p = make_params(2)
-    with pytest.raises(ValueError):
-        circle_pair_state(p, 0)
-    with pytest.raises(ValueError):
-        circle_pair_state(p, 1)
+    for bad in (-1, p.field.order, True):
+        with pytest.raises(ValueError):
+            case_trace(p, bad)
+    assert case_trace(p, 0).state is None
+    assert case_trace(p, 1).state is None
 
 
 def test_circle_pair_state_properties(make_params):
     p = make_params(2)
     fld = p.field
     sub = set(fld.subfield_elements(4))
-    for b in sorted(sub - {0, 1}):
-        assert circle_pair_state(p, b).inv_gap == 0
+    for b in sorted(sub):
+        assert case_trace(p, b).state is None
     for b in range(fld.order):
         if b in sub:
             continue
-        state = circle_pair_state(p, b)
+        state = case_trace(p, b).state
+        assert state.b == b
         assert state.inv_gap != 0
         assert fld.in_subfield(state.norm_term, 4)
         assert fld.in_subfield(state.cross_term, 4)
@@ -386,36 +411,27 @@ def test_solutions_off_subfield_validation(make_params):
         solutions_off_subfield(p, 1)
 
 
-def test_solutions_off_subfield_rejects_the_subfield_by_its_pair_state(make_params, monkeypatch):
-    # The pair state's C = 0 is the one subfield decision: one state per b,
-    # and no in_subfield call outside it.
+def test_solutions_off_subfield_rejects_the_subfield_by_its_pair_state(make_params, monkeypatch,
+                                                                       case_trace_calls):
+    # C = 0 in case_trace is the one subfield decision: one case_trace call
+    # per b, and no in_subfield call anywhere.
     p = make_params(2)
     subfield = p.field.subfield_elements(4)
-    states, outside, inside = [], [], []
-    real_state, real_in_subfield = theorem.circle_pair_state, GF2m.in_subfield
-
-    def counted_state(params, b):
-        states.append(b)
-        inside.append(b)
-        try:
-            return real_state(params, b)
-        finally:
-            inside.pop()
+    in_subfield_calls = []
+    real_in_subfield = GF2m.in_subfield
 
     def counted_in_subfield(self, a, sub_degree):
-        if not inside:
-            outside.append(a)
+        in_subfield_calls.append(a)
         return real_in_subfield(self, a, sub_degree)
 
-    monkeypatch.setattr(theorem, "circle_pair_state", counted_state)
     monkeypatch.setattr(GF2m, "in_subfield", counted_in_subfield)
     assert len(subfield) == p.q ** 2
     for b in subfield:
-        states.clear()
-        with pytest.raises(ValueError):
+        case_trace_calls.clear()
+        with pytest.raises(ValueError, match="lies in the quadratic subfield"):
             solutions_off_subfield(p, b)
-        assert states == [b]
-    assert outside == []
+        assert case_trace_calls == [b]
+    assert in_subfield_calls == []
 
 
 def test_recovery_exponent_closed_form():
@@ -564,32 +580,51 @@ def test_verify_counts_every_mismatch_and_lists_the_first_32(make_params, monkey
     assert "mismatches: 1801" in out.splitlines()
 
 
-def test_verify_compare_phase_memory_bound(make_params, monkeypatch):
-    # The count clauses read index arrays of at most q + 1 b, so the compare
-    # phase's largest buffer is one transient bool per b (64 KiB at n = 4).
-    p = make_params(4)
-    brute = solution_counts(p.power_function())
+def compare_phase_peak(params, counts, monkeypatch, peak_traced_bytes):
+    """Verify ``params`` with ``counts`` standing in for the structured
+    counts; return the report and the compare phase's traced peak over
+    what it started with."""
     monkeypatch.setattr(theorem, "structured_counts",
-                        lambda params: (brute.copy(), family_branches(4)))
+                        lambda p: (counts, family_branches(params.n)))
     real = theorem.spectrum_from_counts
-    held = []
+    held, reports = [], []
 
-    def then_reset_peak(counts, f):
+    def then_reset_peak(c, f):
         # The structured spectrum is the last work before the compare phase.
-        spectrum = real(counts, f)
+        spectrum = real(c, f)
         tracemalloc.reset_peak()
         held.append(tracemalloc.get_traced_memory()[0])
         return spectrum
 
     monkeypatch.setattr(theorem, "spectrum_from_counts", then_reset_peak)
-    tracemalloc.start()
-    try:
-        report = verify_conjecture(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_traced_bytes(lambda: reports.append(verify_conjecture(params)))
+    return reports[0], peak - held[-1]
+
+
+def test_verify_compare_phase_memory_bound(make_params, monkeypatch, peak_traced_bytes):
+    # The count clauses read index arrays of at most q + 1 b, so the compare
+    # phase's largest buffer is one transient bool per b (64 KiB at n = 4).
+    p = make_params(4)
+    brute = solution_counts(p.power_function())
+    report, peak = compare_phase_peak(p, brute.copy(), monkeypatch, peak_traced_bytes)
     assert report.passed
-    assert peak - held[-1] <= 128 * 2**10
+    assert peak <= 128 * 2**10
+
+
+def test_verify_counts_mismatches_without_indexing_them(make_params, monkeypatch,
+                                                        peak_traced_bytes):
+    # All-zero structured counts at n = 5 disagree on 2^20 - omega_0 = 507,937
+    # b.  Their count and the first 32 take one transient bool per b (1 MiB)
+    # and a chunked scan; an int64 index of all of them would add 3.9 MiB.
+    p = make_params(5)
+    brute = solution_counts(p.power_function())
+    zeros = np.zeros(p.field.order, dtype=np.uint16)
+    report, peak = compare_phase_peak(p, zeros, monkeypatch, peak_traced_bytes)
+    assert report.mismatch_count == 507_937 == np.count_nonzero(brute)
+    first = np.flatnonzero(brute)[:theorem.MISMATCH_SAMPLE].tolist()
+    assert report.mismatches == [(b, 0, int(brute[b])) for b in first]
+    assert not report.passed
+    assert peak <= 1.25 * 2**20
 
 
 def _plant(params, brute, fault):
@@ -643,8 +678,12 @@ def test_unsplit_pair_quadratic_raises_theorem_channel(make_params, monkeypatch)
 
 def test_derived_terms_outside_subfield_raise_theorem_channel(make_params, monkeypatch,
                                                               capsys):
+    # A q^2-th power with bit 0 flipped: no element passes a^(q^2) = a.
     p = make_params(2)
-    monkeypatch.setattr(GF2m, "in_subfield", lambda self, a, sub_degree: False)
+    real = GF2m._frob
+    monkeypatch.setattr(GF2m, "_frob",
+                        lambda self, a, k: real(self, a, k) ^ 1 if k == 2 * p.n
+                        else real(self, a, k))
     with pytest.raises(TheoremViolationError, match="derived terms left"):
         case_trace(p, 0x02)
     assert cli.main(["verify", "--n", "2"]) == cli.EXIT_THEOREM
@@ -656,14 +695,14 @@ def test_subfield_and_inv_gap_disagreeing_raise_theorem_channel(make_params, mon
     # C = b^-1 + b^-1 = 0.  Only an inverse whose result depends on the call
     # (here bit 0 flipped on every other call) can break C = 0 there.
     p = make_params(2)
-    real = GF2m.inv
+    real = GF2m._inv
     calls = []
 
     def alternating(self, a):
         calls.append(a)
         return real(self, a) ^ (len(calls) & 1)
 
-    monkeypatch.setattr(GF2m, "inv", alternating)
+    monkeypatch.setattr(GF2m, "_inv", alternating)
     subfield = sorted(set(p.field.subfield_elements(4)) - {0, 1})
     assert len(subfield) == 14
     for b in subfield:
@@ -672,9 +711,11 @@ def test_subfield_and_inv_gap_disagreeing_raise_theorem_channel(make_params, mon
 
 
 def test_vanishing_norm_and_cross_terms_raise_theorem_channel(make_params, monkeypatch):
+    # Every nonzero conjugate of b is 0x02 and every product 0, so N = 0 and
+    # A = B = 0, while C = 0x03^-1 + 0x02^-1 stays nonzero.
     p = make_params(2)
-    monkeypatch.setattr(GF2m, "frobenius_pow", lambda self, a, k: 0x02)
-    monkeypatch.setattr(GF2m, "mul", lambda self, a, b: 0)
+    monkeypatch.setattr(GF2m, "_frob", lambda self, a, k: 0x02 if a else 0)
+    monkeypatch.setattr(GF2m, "_mul", lambda self, a, b: 0)
     with pytest.raises(TheoremViolationError, match="norm and cross terms both vanished"):
         case_trace(p, 0x03)
 
@@ -712,10 +753,9 @@ def test_planted_neighbouring_exponent_fails_verify(step):
 
 def test_planted_frobenius_fault_fails_verify(monkeypatch):
     p = TheoremParams(2)
-    real = GF2m.frobenius_pow
+    real = GF2m._frob
     # One squaring short.
-    monkeypatch.setattr(GF2m, "frobenius_pow",
-                        lambda self, a, k: real(self, a, k - 1) if k else self.check(a))
+    monkeypatch.setattr(GF2m, "_frob", lambda self, a, k: real(self, a, k - 1) if k else a)
     assert_fault_caught(p)
 
 
@@ -742,13 +782,13 @@ def test_planted_inverse_in_another_field_fails_verify(monkeypatch):
     # Every inverse is taken modulo 0x11d while the field stays 0x11b.
     p = TheoremParams(2)
     wrong = GF2m(8, 0x11D)
-    real = GF2m.inv
-    monkeypatch.setattr(GF2m, "inv", lambda self, a: real(wrong, a))
+    real = GF2m._inv
+    monkeypatch.setattr(GF2m, "_inv", lambda self, a: real(wrong, a))
     assert_fault_caught(p)
 
 
 def test_planted_inverse_with_its_low_bit_flipped_fails_verify(monkeypatch):
     p = TheoremParams(2)
-    real = GF2m.inv
-    monkeypatch.setattr(GF2m, "inv", lambda self, a: real(self, a) ^ 1)
+    real = GF2m._inv
+    monkeypatch.setattr(GF2m, "_inv", lambda self, a: real(self, a) ^ 1)
     assert_fault_caught(p)
