@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -89,7 +90,10 @@ def _hex_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a hex value, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each build leaves
+    a few hundred argparse objects in reference cycles."""
     parser = _Parser(prog="diffspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

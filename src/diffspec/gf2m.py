@@ -26,23 +26,27 @@ calls them, once it has checked its b.  A failed claim about the
 arithmetic itself raises ``TheoremViolationError``.
 
 For exhaustive sweeps there is an accelerated bulk path: discrete
-log/antilog tables over a primitive element, stored as numpy arrays and
-built with a doubling construction.  Each doubling multiplies the known
-block by a constant, an F2-linear map that is applied byte-sliced: one
-256-entry table per input byte, looked up and XORed together, so the
-degree-24 tables take well under a second.  Bulk loops run in chunks of
-``BULK_CHUNK`` elements, which bounds their temporaries.  The table path
-must (and does; the test suite checks) agree bit-for-bit with the
-schoolbook scalar path.
+log/antilog tables over a primitive element, stored as numpy arrays.
+``exp`` is built with a doubling construction.  Each doubling multiplies
+the known block by a constant, an F2-linear map that is applied
+byte-sliced: one 256-entry table per input byte, looked up and XORed
+together.  For even degrees ``log`` is filled in field order from each
+element's coordinates over the half-degree subfield, through lookup
+tables of 2^(m/2) entries; odd degrees have no such subfield and
+scatter ``log[exp[k]] = k``.  The degree-24 tables take about a quarter
+of a second on two threads.  Bulk loops run in chunks of ``BULK_CHUNK`` elements, which
+bounds their temporaries.  The table path must (and does; the test suite
+checks) agree bit-for-bit with the schoolbook scalar path.
 
 From degree 22 the bulk loops run on threads; this is the package's one
 thread policy.  ``_sweep`` hands the ``BULK_CHUNK`` slices of a range to
 a ``concurrent.futures`` pool of ``sweep_workers(field)`` threads, one
 per CPU in the affinity mask, at most 4, one task per thread, while the
 calling thread waits.  The table build uses it for each doubling step
-(the slices write disjoint parts of ``exp``) and for the ``log`` scatter
-(disjoint because ``exp`` is a permutation); :mod:`diffspec.powerfn`
-uses the same helper for its sweeps.  Pool tasks call only private code,
+(the slices write disjoint parts of ``exp``) and for ``log``: the
+field-order fill writes each slice's own entries, and the odd-degree
+scatter's slices are disjoint because ``exp`` is a permutation.
+:mod:`diffspec.powerfn` uses the same helper for its sweeps.  Pool tasks call only private code,
 so every public function and method runs on the calling thread.  The
 first exception of any task is re-raised once every thread has joined.
 Below degree 22 every loop is a plain loop on the calling thread:
@@ -63,6 +67,7 @@ MAX_DEGREE = 24  # 2^24-entry tables are the desk-scale ceiling
 BULK_CHUNK = 1 << 16  # elements per pass of a bulk numpy loop
 _THREADED_MIN_DEGREE = 22   # bulk loops of smaller fields stay on one thread
 _MAX_WORKERS = 4             # beyond ~3 the brute sweep's locked np.add.at is the bound
+_LOG_PIECE = BULK_CHUNK // 4  # log-fill pass: 448 KiB of buffers per worker
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +528,14 @@ class GF2m:
 
         ``exp[k] = g^k`` for k in [0, 2^m - 1) and ``log[exp[k]] = k``;
         ``log[0]`` is meaningless and callers must special-case zero.
-        Built lazily with a doubling construction: once g^0..g^(f-1) are
-        known, the next f entries are the known block scaled by g^f
-        through byte-sliced tables of that multiplication.  Each doubling
-        step and the ``log`` scatter run their ``BULK_CHUNK`` slices
-        through ``_sweep``; the tables are cached only once both are
-        complete, so a failed build leaves nothing behind.
+        ``exp`` is built lazily with a doubling construction: once
+        g^0..g^(f-1) are known, the next f entries are the known block
+        scaled by g^f through byte-sliced tables of that multiplication.
+        ``log`` (with ``log[0] = 0``) is filled in field order for even m
+        (``_field_order_log``) and scattered from ``exp`` for odd m.  Each
+        doubling step and the ``log`` build run their ``BULK_CHUNK``
+        slices through ``_sweep``; the tables are cached only once both
+        are complete, so a failed build leaves nothing behind.
         """
         if self._tables is None:
             size = self.order - 1
@@ -548,18 +555,102 @@ class GF2m:
 
                 _sweep(self, step, scale)
                 filled += step
-            log = np.zeros(self.order, dtype=np.uint32)
-
-            def scatter(start):
-                # exp is a permutation, so the slices write disjoint slots.
-                stop = min(start + BULK_CHUNK, size)
-                np.put(log, exp[start:stop].astype(np.intp),
-                       np.arange(start, stop, dtype=np.uint32))
-                return 0
-
-            _sweep(self, size, scatter)
+            log = (self._field_order_log(exp) if self.degree % 2 == 0
+                   else self._scattered_log(exp))
             self._tables = (exp, log)
         return self._tables
+
+    def _scattered_log(self, exp: np.ndarray) -> np.ndarray:
+        """log[exp[k]] = k by a scatter over ``exp``'s slices; log[0] = 0."""
+        size = self.order - 1
+        log = np.zeros(self.order, dtype=np.uint32)
+
+        def scatter(start):
+            # exp is a permutation, so the slices write disjoint slots.
+            stop = min(start + BULK_CHUNK, size)
+            np.put(log, exp[start:stop].astype(np.intp),
+                   np.arange(start, stop, dtype=np.uint32))
+            return 0
+
+        _sweep(self, size, scatter)
+        return log
+
+    def _field_order_log(self, exp: np.ndarray) -> np.ndarray:
+        """The log table of an even degree m = 2s, filled in field order.
+
+        With c = 2^s + 1, h = exp[c] generates K* = GF(2^s)*, and the 2s
+        entries exp[i*c], exp[i*c + 1] (i < s) write each x as a + b*g
+        with a, b in K.  For a, b != 0, log x = c*log_K(b) + log(a/b + g)
+        mod 2^m - 1: log_K comes from exp[::c], and log(t + g) for t in
+        K* from exp[2:c], since g^j / b_j = a_j / b_j + g.  Both tables
+        have under 2^(s+1) entries and stay in cache.  Each slice reads
+        the coordinates of x off those of its low and high bits (the map
+        is linear) and fills its ``log`` entries with a few gathers from
+        those tables, in pieces of ``_LOG_PIECE`` elements.  The slots
+        with a = 0 or b = 0, and log[0] = 0, are set last from
+        exp[1::c] and exp[::c].
+        """
+        s = self.degree // 2
+        c, e, size = (1 << s) + 1, (1 << s) - 1, self.order - 1   # e masks a's coordinates
+        system = _LinearSystem([int(exp[i * c + j]) for j in (0, 1) for i in range(s)])
+        if system.kernel:
+            raise TheoremViolationError(
+                f"log basis exp[i*{c}], exp[i*{c} + 1] (i < {s}) is linearly dependent")
+        coords = _byte_tables([system.solve(1 << i) for i in range(self.degree)])
+
+        def coordinates(x):
+            out = np.empty(len(x), dtype=np.uint32)
+            _apply_byte_tables(coords, np.ascontiguousarray(x, dtype=np.uint32), out)
+            return out.astype(np.intp)
+
+        sub = coordinates(exp[::c])
+        if (sub >> s).any():
+            raise TheoremViolationError(f"a power of exp[{c}] left GF(2^{s})")
+        log_k = np.zeros(1 << s, dtype=np.intp)
+        log_k[sub] = np.arange(e)
+        shifted = log_k + e                    # log_K(a) + e: a - b never < 0
+        pair = coordinates(exp[2:c])
+        pa, pb = pair & e, pair >> s
+        lb = log_k[pb]
+        # a_j, b_j != 0 unless exp is broken; a slot left 0 gives wrong logs.
+        live = (pa != 0) & (pb != 0)
+        ratio = np.zeros(2 * e, dtype=np.uint32)   # log(h^k + g) at k and k + e
+        k = ((log_k[pa] - lb) % e)[live]
+        ratio[k] = ratio[k + e] = ((np.arange(2, c) - c * lb) % size)[live]
+
+        piece = min(_LOG_PIECE, self.order)
+        low = coordinates(np.arange(piece))
+        low_a, low_b = low & e, low >> s
+        high = coordinates(np.arange(0, self.order, piece)).tolist()
+        log = np.empty(self.order, dtype=np.uint32)
+
+        def fill(start):
+            a, b, t = (np.empty(piece, dtype=np.intp) for _ in range(3))
+            wrap = np.empty(piece, dtype=np.uint32)
+            for lo in range(start, min(start + BULK_CHUNK, self.order), piece):
+                out = log[lo:lo + piece]
+                xy = high[lo // piece]
+                np.bitwise_xor(low_a, xy & e, out=a)
+                np.bitwise_xor(low_b, xy >> s, out=b)
+                # Indices are in range; "clip" writes straight into out,
+                # where the default "raise" fills a buffered copy.
+                np.take(shifted, a, out=t, mode="clip")
+                np.take(log_k, b, out=a, mode="clip")
+                np.subtract(t, a, out=t)
+                np.take(ratio, t, out=out, mode="clip")
+                np.multiply(a, c, out=wrap, casting="unsafe")
+                out += wrap
+                # out < 2 * size; out - size wraps past 2^32 where out < size,
+                # so the minimum is out mod size.
+                np.subtract(out, size, out=wrap)
+                np.minimum(out, wrap, out=out)
+            return 0
+
+        _sweep(self, self.order, fill)
+        log[exp[::c]] = np.arange(0, size, c, dtype=np.uint32)
+        log[exp[1::c]] = np.arange(1, size, c, dtype=np.uint32)
+        log[0] = 0
+        return log
 
     def _scaled_basis(self, scalar: int) -> list[int]:
         """scalar * x^i for i < m: the basis images of multiplying by scalar."""

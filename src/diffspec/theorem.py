@@ -155,13 +155,23 @@ class TheoremParams:
         return fld.pow(x ^ 1, self.d) ^ fld.pow(x, self.d)
 
 def unit_circle(params: TheoremParams) -> set[int]:
-    """mu_(q+1), the norm-1 subgroup of GF(q^2) over GF(q); q+1 elements."""
+    """mu_(q+1), the norm-1 subgroup of GF(q^2) over GF(q); q+1 elements.
+
+    Built as the q + 1 powers of h = g^((2^m - 1)/(q + 1)) for the
+    primitive element g.  That they are q + 1 distinct values, each with
+    x^(q+1) = 1, is a claim checked on every call.
+    """
     fld = params.field
     q = params.q
-    return {
-        x for x in fld.subfield_elements(2 * params.n)
-        if x != 0 and fld.pow(x, q + 1) == 1
-    }
+    h = fld.pow(fld.primitive_element(), (fld.order - 1) // (q + 1))
+    circle, x = set(), 1
+    for _ in range(q + 1):
+        circle.add(x)
+        x = fld.mul(x, h)
+    if len(circle) != q + 1 or any(fld.pow(x, q + 1) != 1 for x in circle):
+        raise TheoremViolationError(
+            f"the powers of g^((2^{params.m} - 1)/{q + 1}) are not mu_{q + 1}")
+    return circle
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -128,16 +129,91 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 
 @pytest.mark.parametrize("product,err", [
-    (0, "theorem violated: 0 has no inverse in GF(2^8)\n"),
+    (0, "theorem violated: log basis exp[i*17], exp[i*17 + 1] (i < 4) is linearly dependent\n"),
     (1, "theorem violated: no primitive element found (broken arithmetic)\n"),
 ], ids=["zero", "one"])
 def test_broken_arithmetic_exits_theorem(capsys, monkeypatch, product, err):
     # A multiply that returns a constant: no primitive element exists, or
-    # a zero reaches an inverse.  Either is a broken core, not bad input.
+    # every power of g past g^0 is zero, so the log table's basis is
+    # dependent.  Either is a broken core, not bad input.
     from diffspec.gf2m import GF2m
 
     monkeypatch.setattr(GF2m, "_mul", lambda self, a, b: product)
     assert run_cli(capsys, "verify", "--n", "2") == (3, "", err)
+
+
+LOG_FILL_CLAIMS = {
+    "dependent-basis": (17, 0, "log basis exp[i*17], exp[i*17 + 1] (i < 4) is linearly dependent"),
+    "power-outside-subfield": (4 * 17, 1, "a power of exp[17] left GF(2^4)"),
+}
+
+
+def plant_in_log_fill(monkeypatch, corrupt):
+    """The n = 2 log fill reads a copy of exp that ``corrupt`` edited; exp
+    itself stays intact, so only the log table can go wrong."""
+    from diffspec.gf2m import GF2m
+
+    real = GF2m._field_order_log
+
+    def planted(self, exp):
+        exp = exp.copy()
+        corrupt(exp)
+        return real(self, exp)
+
+    monkeypatch.setattr(GF2m, "_field_order_log", planted)
+
+
+@pytest.mark.parametrize("claim", sorted(LOG_FILL_CLAIMS))
+def test_log_fill_claims_exit_theorem(capsys, monkeypatch, claim):
+    # h = exp[17] replaced by 1, or h^4 by g: c = 17 and s = 4 at m = 8.
+    index, source, message = LOG_FILL_CLAIMS[claim]
+
+    def corrupt(exp):
+        exp[index] = exp[source]
+
+    plant_in_log_fill(monkeypatch, corrupt)
+    assert run_cli(capsys, "verify", "--n", "2") == (3, "", f"theorem violated: {message}\n")
+
+
+@pytest.mark.parametrize("j", range(17))
+def test_flipped_entry_of_the_log_fill_input_fails_verify(capsys, monkeypatch, j):
+    # Bit 0 of exp[j], j < c = 17, flipped where only the fill reads it.
+    # exp[0] = 1 becomes 0, a dependent basis; any other flip passes every
+    # claim and leaves a wrong log table that verify must catch.
+    def corrupt(exp):
+        exp[j] ^= 1
+
+    plant_in_log_fill(monkeypatch, corrupt)
+    code, out, err = run_cli(capsys, "verify", "--n", "2")
+    if j == 0:
+        message = LOG_FILL_CLAIMS["dependent-basis"][2]
+        assert (code, out, err) == (3, "", f"theorem violated: {message}\n")
+    else:
+        assert code == EXIT_VERIFY_FAILED
+        assert json.loads(out)["pass"] is False
+
+
+def test_main_leaves_no_argparse_object_in_cycles(capsys):
+    # The parser is built once per process, not left as cyclic garbage by
+    # every call.
+    def is_argparse(obj):
+        return any(k.__module__ == "argparse" for k in type(obj).__mro__)
+
+    main(["field-info", "--n", "1"])
+    gc.collect()
+    flags = gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            main(["verify", "--n", "1"])
+        gc.collect()
+        leaked = sorted({type(obj).__name__ for obj in gc.garbage if is_argparse(obj)})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert leaked == []
 
 
 def test_exit_code_unwritable_output(capsys, tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import diffspec.gf2m as gf2m
-from diffspec.errors import GuardExceededError
+from diffspec.errors import GuardExceededError, TheoremViolationError
 from diffspec.gf2m import (
     GF2m,
     find_factor,
@@ -580,3 +580,58 @@ def test_primitive_element_generates(f16):
 def test_prime_factors_exact(v, primes):
     # primitive_element tests g^((2^m - 1) / p) for exactly these p.
     assert gf2m._prime_factors(v) == primes
+
+
+def reference_log(exp, order):
+    """log[exp[k]] = k by a plain scatter, with log[0] = 0."""
+    log = np.zeros(order, dtype=np.uint32)
+    log[exp] = np.arange(order - 1, dtype=np.uint32)
+    return log
+
+
+@pytest.mark.parametrize("modulus_seed", [None, 2300], ids=["default", "seeded"])
+@pytest.mark.parametrize("degree", range(4, 25, 2))
+def test_even_degree_log_is_filled_in_field_order(monkeypatch, degree, modulus_seed):
+    # The field-order fill alone builds log for even m, and it equals the
+    # scatter byte for byte.
+    modulus = None if modulus_seed is None else seeded_irreducible(degree, modulus_seed + degree)
+    fld = GF2m(degree, modulus)
+    if modulus_seed is not None:
+        assert fld.modulus != smallest_irreducible(degree)
+
+    def no_scatter(self, exp):
+        raise AssertionError("even degree took the scatter")
+
+    monkeypatch.setattr(GF2m, "_scattered_log", no_scatter)
+    exp, log = fld.log_tables()
+    assert log.dtype == np.uint32 and log[0] == 0
+    assert np.array_equal(log[exp], np.arange(fld.order - 1))
+    assert log.tobytes() == reference_log(exp, fld.order).tobytes()
+
+
+@pytest.mark.parametrize("degree", range(5, 24, 2))
+def test_odd_degree_log_is_the_scatter(monkeypatch, degree):
+    def no_fill(self, exp):
+        raise AssertionError("odd degree took the field-order fill")
+
+    monkeypatch.setattr(GF2m, "_field_order_log", no_fill)
+    fld = GF2m(degree)
+    exp, log = fld.log_tables()
+    assert log[0] == 0
+    assert np.array_equal(log[exp], np.arange(fld.order - 1))
+    assert log.tobytes() == reference_log(exp, fld.order).tobytes()
+
+
+def test_field_order_log_claims(f256):
+    # At m = 8: s = 4, c = 17, and the basis is exp[17 i], exp[17 i + 1], i < 4.
+    exp, log = f256.log_tables()
+    dependent = exp.copy()
+    dependent[17] = exp[0]            # h = 1 repeats the basis entry exp[0]
+    with pytest.raises(TheoremViolationError,
+                       match=r"^log basis exp\[i\*17\], exp\[i\*17 \+ 1\] \(i < 4\) is linearly dependent$"):
+        f256._field_order_log(dependent)
+    outside = exp.copy()
+    outside[4 * 17] = exp[1]          # h^4 = g, outside GF(2^4)
+    with pytest.raises(TheoremViolationError, match=r"^a power of exp\[17\] left GF\(2\^4\)$"):
+        f256._field_order_log(outside)
+    assert np.array_equal(f256._field_order_log(exp), log)

@@ -111,6 +111,32 @@ def test_unit_circle(make_params):
             assert p.field.pow(b, p.q + 1) == 1
 
 
+def scanned_unit_circle(params):
+    """mu_(q+1) by scanning GF(q^2): every x != 0 with x^(q+1) = 1."""
+    fld, q = params.field, params.q
+    return {x for x in fld.subfield_elements(2 * params.n) if x != 0 and fld.pow(x, q + 1) == 1}
+
+
+@pytest.mark.parametrize("n,modulus", [
+    (1, None), (2, None), (3, None), (4, None), (5, None), (6, None),
+    (2, 0x11D), (2, 0x1F5), (3, 0x1053), (3, 0x1F1B),
+])
+def test_unit_circle_equals_the_subfield_scan(make_params, n, modulus):
+    p = make_params(n, modulus)
+    assert modulus is None or p.field.modulus == modulus
+    assert unit_circle(p) == scanned_unit_circle(p)
+
+
+def test_unit_circle_from_a_non_primitive_element_raises(monkeypatch, make_params):
+    # g^(q+1) has order (q^4 - 1)/(q + 1): its power of exponent
+    # (q^4 - 1)/(q + 1) is 1, so the q + 1 powers collapse to {1}.
+    p = make_params(2)
+    g = p.field.primitive_element()
+    monkeypatch.setattr(GF2m, "primitive_element", lambda self: p.field.pow(g, p.q + 1))
+    with pytest.raises(TheoremViolationError, match=r"^the powers of g\^\(\(2\^8 - 1\)/5\) are not mu_5$"):
+        unit_circle(p)
+
+
 # -- structured counting ----------------------------------------------------------
 
 def test_delta_structured_fixed_points(make_params):
