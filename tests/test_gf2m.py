@@ -94,6 +94,61 @@ def test_polynomial_helpers_reject_negative_ints():
     assert out == "ValueError\n" * 5
 
 
+def test_rabin_test_matches_trial_division():
+    # Every packed polynomial of degree 1..12, x^m among them.
+    for p in range(2, 1 << 13):
+        assert is_irreducible(p) == (find_factor(p) is None), hex(p)
+    assert is_irreducible(0b10) and is_irreducible(0b11)         # x and x + 1
+    assert not any(is_irreducible(1 << m) for m in range(2, 25))   # x^m
+    assert not is_irreducible(0) and not is_irreducible(1)
+
+
+def test_smallest_irreducible_pinned():
+    assert [smallest_irreducible(m) for m in range(4, 25)] == [
+        0x13, 0x25, 0x43, 0x83, 0x11b, 0x203, 0x409, 0x805, 0x1009, 0x201b,
+        0x4021, 0x8003, 0x1002b, 0x20009, 0x40009, 0x80027, 0x100009,
+        0x200005, 0x400003, 0x800021, 0x100001b,
+    ]
+
+
+def clmul(a, b):
+    """Carry-less product of two packed polynomials."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a, b = a << 1, b >> 1
+    return r
+
+
+def poly_gcd(a, b):
+    while b:
+        a, b = b, gf2m.poly_mod(a, b)
+    return a
+
+
+@pytest.mark.parametrize("p,factors,clause", [
+    (0x101e0af, (0x1009, 0x1017), 2),         # two degree-12 factors: x^(2^12) - x
+    (0x12ccd39, (0x11b, 0x11d, 0x12b), 3),    # three degree-8 factors: x^(2^8) - x
+], ids=["0x101e0af", "0x12ccd39"])
+def test_each_gcd_clause_rejects_its_planted_product(p, factors, clause):
+    # Each product divides x^(2^24) - x, since its factors' degrees divide
+    # 24, so only the gcd clause for the prime `clause` can reject it.
+    product = 1
+    for f in factors:
+        assert is_irreducible(f)
+        product = clmul(product, f)
+    assert product == p
+    x_power = [2]                          # x^(2^k) mod p
+    for _ in range(24):
+        x_power.append(gf2m.poly_mod(clmul(x_power[-1], x_power[-1]), p))
+    assert x_power[24] == 2
+    assert [r for r in (2, 3) if poly_gcd(p, x_power[24 // r] ^ 2) != 1] == [clause]
+    assert not is_irreducible(p)
+    with pytest.raises(ValueError, match=rf"^modulus 0x{p:x} is reducible: factor .* \(0x{factors[0]:x}\)$"):
+        GF2m(24, p)
+
+
 def test_describe_format(f256):
     assert f256.describe() == "m=8 poly=0x11b"
 
@@ -445,6 +500,26 @@ def test_tables_agree_with_schoolbook_sampled(big_field):
     for k in [0, 1, size - 1] + [rng.randrange(size) for _ in range(300)]:
         assert int(exp[k]) == big_field.pow(g, k)
         assert int(log[exp[k]]) == k
+
+
+def times_constant(x, c, field):
+    """x * c for a uint32 array x, by shift and XOR over the bits of c."""
+    r = np.zeros_like(x)
+    for bit in range(c.bit_length()):
+        if c >> bit & 1:
+            r ^= x
+        x = x << 1
+        x ^= np.where(x >> field.degree, np.uint32(field.modulus), np.uint32(0))
+    return r
+
+
+@pytest.mark.parametrize("degree", range(4, 21))
+def test_exp_is_the_powers_of_the_primitive_element(degree):
+    fld = GF2m(degree)
+    exp, _ = fld.log_tables()
+    g = fld.primitive_element()
+    assert exp[0] == 1
+    assert np.array_equal(times_constant(exp, g, fld), np.roll(exp, -1))
 
 
 def test_table_build_memory_bound(peak_traced_bytes):
