@@ -28,19 +28,19 @@ arithmetic itself raises ``TheoremViolationError``.
 For exhaustive sweeps there is an accelerated bulk path: discrete
 log/antilog tables over a primitive element, stored as numpy arrays.
 ``exp`` is built with a doubling construction.  Each doubling multiplies
-the known block by a constant, an F2-linear map that is applied
-byte-sliced: one 256-entry table per input byte, looked up and XORed
-together.  A step of at least 2^16 elements (degree 18 and up) first
-merges the two low byte tables into one 65,536-entry table of the low
-16 bits, so a degree-24 element takes two lookups, not three.  For even
-degrees ``log`` is filled in field order from each element's coordinates
-over the half-degree subfield, through lookup tables of 2^(m/2) entries;
-odd degrees have no such subfield and scatter ``log[exp[k]] = k``.  The
-degree-24 tables take 0.13-0.18 s on two threads of a 2-core x86 box
-(0.16-0.20 s on one), the antilog doubling about 0.055 s of it.  Bulk
-loops run in chunks of ``BULK_CHUNK`` elements, which bounds their
-temporaries.  The table path must (and does; the test suite checks)
-agree bit-for-bit with the schoolbook scalar path.
+the known block by a constant, an F2-linear map applied through one
+table format, ``_linear_tables``: a table of the low 16 bits and one of
+the bits above, looked up and XORed together, so an element takes one
+lookup up to degree 16 and two above.  For even degrees ``log`` is
+filled in field order from each element's coordinates over the
+half-degree subfield, a linear map in the same format, through lookup
+tables of 2^(m/2) entries; odd degrees have no such subfield and scatter
+``log[exp[k]] = k``.  The degree-24 tables take 0.15-0.18 s on two
+threads of a 2-core x86 box (0.16-0.17 s on one), the antilog doubling
+about 0.06 s of it.  Bulk loops run in chunks of ``BULK_CHUNK``
+elements, which bounds their temporaries.  The table path must (and
+does; the test suite checks) agree bit-for-bit with the schoolbook
+scalar path.
 
 From degree 22 the bulk loops run on threads; this is the package's one
 thread policy.  ``_sweep`` hands the ``BULK_CHUNK`` slices of a range to
@@ -72,7 +72,6 @@ BULK_CHUNK = 1 << 16  # elements per pass of a bulk numpy loop
 _THREADED_MIN_DEGREE = 22   # bulk loops of smaller fields stay on one thread
 _MAX_WORKERS = 4             # beyond ~3 the brute sweep's locked np.add.at is the bound
 _LOG_PIECE = BULK_CHUNK // 4  # log-fill pass: 448 KiB of buffers per worker
-_LOW_WORD_MIN_STEP = 1 << 16  # doubling steps this long gather 16 bits at a time
 
 
 # ---------------------------------------------------------------------------
@@ -241,43 +240,34 @@ class _LinearSystem:
         return mask
 
 
-def _byte_tables(images: list[int]) -> np.ndarray:
-    """Byte-sliced lookup tables of an F2-linear map on packed vectors.
+def _linear_tables(images: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables (low, high) of an F2-linear map on packed vectors.
 
-    ``images[i]`` is the image of the basis vector ``1 << i``.  Row j of
-    the result maps a byte value v to the image of ``v << 8j``, so the
-    image of any x is the XOR over its bytes of ``tables[j][byte j]``.
+    ``images[i]`` is the image of the basis vector ``1 << i``.  ``low``
+    maps the low 16 bits and ``high`` the bits above, so the image of x
+    is ``low[x & 0xffff] ^ high[x >> 16]``; up to 16 bits ``high`` is [0].
     """
-    tables = np.zeros((-(-len(images) // 8), 256), dtype=np.uint32)
+    low = np.zeros(1 << min(len(images), 16), dtype=np.uint32)
+    high = np.zeros(1 << max(len(images) - 16, 0), dtype=np.uint32)
     for i, image in enumerate(images):
-        row, bit = tables[i // 8], 1 << (i % 8)
-        row[bit:2 * bit] = row[:bit] ^ image
-    return tables
+        table, bit = (low, 1 << i) if i < 16 else (high, 1 << (i - 16))
+        table[bit:2 * bit] = table[:bit] ^ image
+    return low, high
 
 
-def _apply_byte_tables(tables, src: np.ndarray, out: np.ndarray):
-    """out = L(src) elementwise for uint32 arrays; callers pass one slice.
-
-    ``tables`` holds lookup tables of power-of-two sizes, each reading the
-    next log2(len) bits of src, lowest first: the rows of ``_byte_tables``,
-    or rows 0 and 1 merged into one 16-bit table, then rows 2 on; src
-    holds field elements, which the tables' bits cover.  The indices go
-    through one reused ``intp`` buffer, and "clip" gathers straight into
-    out, where the default "raise" fills a buffered copy.
+def _apply_linear(tables, src: np.ndarray, out: np.ndarray):
+    """out = L(src) elementwise for uint32 arrays of field elements, from
+    ``_linear_tables``; callers pass one slice.  The indices go through
+    one reused ``intp`` buffer, and "clip" gathers straight into out,
+    where the default "raise" fills a buffered copy.
     """
-    first, *rest = tables
+    low, high = tables
     index = np.empty(len(src), dtype=np.intp)
-    np.bitwise_and(src, len(first) - 1, out=index)
-    np.take(first, index, out=out, mode="clip")
-    shift = len(first).bit_length() - 1
-    part = np.empty_like(out)
-    for table in rest:
-        np.right_shift(src, shift, out=index)
-        if table is not rest[-1]:         # the last table reads every bit left
-            index &= len(table) - 1
-        np.take(table, index, out=part, mode="clip")
-        out ^= part
-        shift += len(table).bit_length() - 1
+    np.bitwise_and(src, 0xffff, out=index)
+    np.take(low, index, out=out, mode="clip")
+    if len(high) > 1:
+        np.right_shift(src, 16, out=index)
+        out ^= np.take(high, index, mode="clip")
 
 
 def sweep_workers(field: GF2m) -> int:
@@ -588,10 +578,13 @@ class GF2m:
         ``log[0]`` is meaningless and callers must special-case zero.
         Both are built lazily: ``exp`` by doubling (``_doubled_exp``), then
         ``log`` (with ``log[0] = 0``) in field order for even m
-        (``_field_order_log``) and scattered from ``exp`` for odd m.  Each
-        doubling step and the ``log`` build run their ``BULK_CHUNK``
-        slices through ``_sweep``; the tables are cached only once both
-        are complete, so a failed build leaves nothing behind.
+        (``_field_order_log``) and scattered from ``exp`` for odd m.  The
+        two F2-linear maps of the build, each doubling step's scaling and
+        the even-degree coordinates, are ``_linear_tables`` applied by
+        ``_apply_linear``.  Each doubling step and the ``log`` build run
+        their ``BULK_CHUNK`` slices through ``_sweep``; the tables are
+        cached only once both are complete, so a failed build leaves
+        nothing behind.
         """
         if self._tables is None:
             exp = self._doubled_exp()
@@ -604,11 +597,9 @@ class GF2m:
         """exp[k] = g^k for k < 2^m - 1, g the primitive element.
 
         Once g^0..g^(f-1) are known, the next f entries are the known block
-        scaled by g^f, through byte-sliced tables of that multiplication.
-        A step of at least ``_LOW_WORD_MIN_STEP`` elements first merges
-        rows 0 and 1 into one 65,536-entry table (256 KiB, built once per
-        step), so an element of GF(2^24) takes two gathers, not three.
-        The step tables go when this returns, before ``log`` is built.
+        scaled by g^f, through the ``_linear_tables`` of that multiplication:
+        one gather per element up to degree 16, two above.  The step tables
+        go when this returns, before ``log`` is built.
         """
         size = self.order - 1
         g = self.primitive_element()
@@ -617,14 +608,12 @@ class GF2m:
         filled = 1
         while filled < size:
             step = min(filled, size - filled)
-            tables = _byte_tables(self._scaled_basis(self.pow(g, filled)))
-            if step >= _LOW_WORD_MIN_STEP:    # entry hi*256 + lo: row 1[hi] ^ row 0[lo]
-                tables = [(tables[1][:, None] ^ tables[0]).ravel(), *tables[2:]]
+            scalar = self.pow(g, filled)
+            tables = _linear_tables([self._mul(scalar, 1 << i) for i in range(self.degree)])
 
             def scale(start):
                 stop = min(start + BULK_CHUNK, step)
-                _apply_byte_tables(tables, exp[start:stop],
-                                   exp[filled + start:filled + stop])
+                _apply_linear(tables, exp[start:stop], exp[filled + start:filled + stop])
                 return 0
 
             _sweep(self, step, scale)
@@ -654,10 +643,12 @@ class GF2m:
         with a, b in K.  For a, b != 0, log x = c*log_K(b) + log(a/b + g)
         mod 2^m - 1: log_K comes from exp[::c], and log(t + g) for t in
         K* from exp[2:c], since g^j / b_j = a_j / b_j + g.  Both tables
-        have under 2^(s+1) entries and stay in cache.  Each slice reads
-        the coordinates of x off those of its low and high bits (the map
-        is linear) and fills its ``log`` entries with a few gathers from
-        those tables, in pieces of ``_LOG_PIECE`` elements.  The slots
+        have under 2^(s+1) entries and stay in cache.  The coordinate map
+        is linear, so it is held as ``_linear_tables``; from it come the
+        coordinates of the first ``_LOG_PIECE`` elements and of each
+        piece's offset, and the coordinates of x in a piece are the XOR of
+        one of each.  Each slice fills its ``log`` entries piece by piece
+        with a few gathers from the log tables above.  The slots
         with a = 0 or b = 0, and log[0] = 0, are set last from
         exp[1::c] and exp[::c].
         """
@@ -667,11 +658,11 @@ class GF2m:
         if system.kernel:
             raise TheoremViolationError(
                 f"log basis exp[i*{c}], exp[i*{c} + 1] (i < {s}) is linearly dependent")
-        coords = _byte_tables([system.solve(1 << i) for i in range(self.degree)])
+        coords = _linear_tables([system.solve(1 << i) for i in range(self.degree)])
 
         def coordinates(x):
             out = np.empty(len(x), dtype=np.uint32)
-            _apply_byte_tables(coords, np.ascontiguousarray(x, dtype=np.uint32), out)
+            _apply_linear(coords, np.ascontiguousarray(x, dtype=np.uint32), out)
             return out.astype(np.intp)
 
         sub = coordinates(exp[::c])
@@ -722,7 +713,3 @@ class GF2m:
         log[exp[1::c]] = np.arange(1, size, c, dtype=np.uint32)
         log[0] = 0
         return log
-
-    def _scaled_basis(self, scalar: int) -> list[int]:
-        """scalar * x^i for i < m: the basis images of multiplying by scalar."""
-        return [self._mul(scalar, 1 << i) for i in range(self.degree)]

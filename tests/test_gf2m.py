@@ -554,7 +554,7 @@ def build_tables(monkeypatch, workers, degree, modulus=None):
     the helper's binding cannot pass as a threaded build.
     """
     ran_on = set()
-    real = gf2m._apply_byte_tables
+    real = gf2m._apply_linear
 
     def recording(tables, src, out):
         ran_on.add(threading.get_ident())
@@ -562,7 +562,7 @@ def build_tables(monkeypatch, workers, degree, modulus=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(gf2m, "sweep_workers", lambda field: workers)
-        patch.setattr(gf2m, "_apply_byte_tables", recording)
+        patch.setattr(gf2m, "_apply_linear", recording)
         fld = GF2m(degree, modulus)
         tables = fld.log_tables()
     if workers == 1:
@@ -605,7 +605,7 @@ def test_failed_table_build_caches_nothing(monkeypatch):
     # next call builds the full tables.
     _, reference = build_tables(monkeypatch, 1, 22)
     fld = GF2m(22)
-    real = gf2m._apply_byte_tables
+    real = gf2m._apply_linear
     calls = itertools.count()
     active = []
 
@@ -618,7 +618,7 @@ def test_failed_table_build_caches_nothing(monkeypatch):
     before = threading.active_count()
     with monkeypatch.context() as patch:
         patch.setattr(gf2m, "sweep_workers", lambda field: 2)
-        patch.setattr(gf2m, "_apply_byte_tables", planted)
+        patch.setattr(gf2m, "_apply_linear", planted)
         with pytest.raises(RuntimeError, match="planted slice failure"):
             fld.log_tables()
     assert fld._tables is None
