@@ -646,11 +646,11 @@ class GF2m:
         have under 2^(s+1) entries and stay in cache.  The coordinate map
         is linear, so it is held as ``_linear_tables``; from it come the
         coordinates of the first ``_LOG_PIECE`` elements and of each
-        piece's offset, and the coordinates of x in a piece are the XOR of
-        one of each.  Each slice fills its ``log`` entries piece by piece
-        with a few gathers from the log tables above.  The slots
-        with a = 0 or b = 0, and log[0] = 0, are set last from
-        exp[1::c] and exp[::c].
+        piece's offset, and the map is dropped before the fill; the
+        coordinates of x in a piece are the XOR of one of each.  Each slice fills its
+        ``log`` entries piece by piece with a few gathers from the log
+        tables above.  The slots with a = 0 or b = 0, and log[0] = 0, are
+        set last from exp[1::c] and exp[::c].
         """
         s = self.degree // 2
         c, e, size = (1 << s) + 1, (1 << s) - 1, self.order - 1   # e masks a's coordinates
@@ -684,6 +684,7 @@ class GF2m:
         low = coordinates(np.arange(piece))
         low_a, low_b = low & e, low >> s
         high = coordinates(np.arange(0, self.order, piece)).tolist()
+        del coords, coordinates     # the fill reads only the coordinates above
         log = np.empty(self.order, dtype=np.uint32)
 
         def fill(start):

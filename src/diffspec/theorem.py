@@ -26,8 +26,10 @@ the determination as executable machinery rather than as a sweep:
 
 * ``solutions_for_one`` / ``solutions_on_circle`` /
   ``solutions_off_subfield`` construct the actual solution sets for the
-  nonzero branches, so the counts above are backed by explicit witnesses
-  that are re-verified by substitution.
+  nonzero branches, so the counts above are backed by explicit witnesses.
+  All three leave through one checked exit, ``_verified``: no root
+  twice, exactly the branch's count of them, and each one re-verified
+  by substitution.
 
 * ``spectrum_closed_form`` emits the four-bucket spectrum directly from
   n, and ``verify_conjecture`` cross-checks all three routes (closed
@@ -180,7 +182,8 @@ def unit_circle(params: TheoremParams) -> set[int]:
 
 @dataclass(frozen=True)
 class CirclePairState:
-    """Audit record of ``case_trace`` for one b outside GF(q^2).
+    """Audit record of ``case_trace`` for one b outside GF(q^2), which
+    ``CaseTrace.b`` holds.
 
     ``norm_term``, ``cross_term`` and ``inv_gap`` are the three derived
     quantities controlling the off-subfield branch (printed as A, B, C in
@@ -204,7 +207,6 @@ class CirclePairState:
     in the field; one without roots raises ``TheoremViolationError``.
     """
 
-    b: int
     norm_term: int
     cross_term: int
     inv_gap: int
@@ -285,8 +287,7 @@ def case_trace(params: TheoremParams, b: int) -> CaseTrace:
             raise TheoremViolationError(
                 f"norm and cross terms both vanished off the subfield, b=0x{b:x}"
             )
-        return CaseTrace(b, "quadratic", 0,
-                         CirclePairState(b, norm_term, cross_term, inv_gap))
+        return CaseTrace(b, "quadratic", 0, CirclePairState(norm_term, cross_term, inv_gap))
 
     total_trace = b ^ b_q ^ b_q2 ^ b_q3                   # trace down to GF(q)
     denom_inv_q = frob(fld._inv(norm ^ 1), n)             # (N + 1)^-q, N != 1 here
@@ -296,7 +297,7 @@ def case_trace(params: TheoremParams, b: int) -> CaseTrace:
         # Zero relative trace: the candidate pair would collapse to a
         # double root, contradicting its construction; no solutions.
         return CaseTrace(b, "quadratic", 0,
-                         CirclePairState(b, norm_term, cross_term, inv_gap,
+                         CirclePairState(norm_term, cross_term, inv_gap,
                                          pair_sum, pair_product))
 
     roots = fld.solve_quadratic(pair_sum, pair_product)
@@ -310,7 +311,7 @@ def case_trace(params: TheoremParams, b: int) -> CaseTrace:
             f"exactly one root of the pair equation on the unit circle, b=0x{b:x}"
         )
     return CaseTrace(b, "quadratic", len(on_circle),
-                     CirclePairState(b, norm_term, cross_term, inv_gap,
+                     CirclePairState(norm_term, cross_term, inv_gap,
                                      pair_sum, pair_product, on_circle))
 
 
@@ -334,18 +335,32 @@ def structured_counts(params: TheoremParams) -> tuple[np.ndarray, dict[str, int]
 # Explicit solution constructors
 # ---------------------------------------------------------------------------
 
-def solutions_for_one(params: TheoremParams) -> set[int]:
-    """The solution set for b = 1: exactly the quadratic subfield GF(q^2).
-
-    Every returned element is re-verified by substitution.
-    """
-    subfield = params.field.subfield_elements(2 * params.n)
-    for x in subfield:
-        if params.derivative_value(x) != 1:
+def _verified(params: TheoremParams, b: int, roots: list[int], size: int) -> set[int]:
+    """The constructed ``roots`` as the returned set, after the claims every
+    constructor shares: no root twice, exactly ``size`` of them, and each
+    one solving (x+1)^d + x^d = b by substitution.  The counts go first,
+    since a substitution costs two ``pow`` calls."""
+    out = set(roots)
+    if len(out) != len(roots):
+        raise TheoremViolationError(
+            f"{len(roots) - len(out)} constructed roots repeat (b=0x{b:x})"
+        )
+    if len(out) != size:
+        raise TheoremViolationError(
+            f"constructed {len(out)} solutions, expected {size} (b=0x{b:x})"
+        )
+    for x in roots:
+        if params.derivative_value(x) != b:
             raise TheoremViolationError(
-                f"subfield element 0x{x:x} fails the derivative equation at b=1"
+                f"constructed root 0x{x:x} fails substitution (b=0x{b:x})"
             )
-    return set(subfield)
+    return out
+
+
+def solutions_for_one(params: TheoremParams) -> set[int]:
+    """The solution set for b = 1: exactly the quadratic subfield GF(q^2)."""
+    return _verified(params, 1, params.field.subfield_elements(2 * params.n),
+                     params.q * params.q)
 
 
 @dataclass(frozen=True)
@@ -358,8 +373,6 @@ class CircleWitness:
     trace test.  ``roots`` holds that pair.
     """
 
-    b: int
-    scale: int
     trace_coord: int
     norm_coord: int
     roots: tuple[int, ...]
@@ -425,7 +438,7 @@ def circle_witnesses(params: TheoremParams, b: int,
                 raise TheoremViolationError(
                     f"admissible pair produced {len(roots)} roots (b=0x{b:x})"
                 )
-            witnesses.append(CircleWitness(b, scale, tc, nc, roots))
+            witnesses.append(CircleWitness(tc, nc, roots))
     return witnesses
 
 
@@ -433,38 +446,23 @@ def solutions_on_circle(params: TheoremParams, b: int,
                         scale: int | None = None) -> set[int]:
     """The q^2 - q solutions for b on the unit circle, b != 1.
 
-    Aggregates the witness pairs, then asserts the full claim: all roots
-    distinct, none inside GF(q^2), every one satisfying the derivative
-    equation, and q^2 - q of them in total.
+    Aggregates the witness pairs, claims that there are (q-1) * q/2 of
+    them and that no root lies inside GF(q^2), and leaves through
+    ``_verified``.
     """
-    fld = params.field
     n, q = params.n, params.q
     witnesses = circle_witnesses(params, b, scale)
     if len(witnesses) != (q - 1) * q // 2:
         raise TheoremViolationError(
             f"expected {(q - 1) * q // 2} admissible pairs, found {len(witnesses)}"
         )
-    out: set[int] = set()
-    for wit in witnesses:
-        for x in wit.roots:
-            if x in out:
-                raise TheoremViolationError(
-                    f"distinct parameter pairs shared the root 0x{x:x} (b=0x{b:x})"
-                )
-            if fld.in_subfield(x, 2 * n):
-                raise TheoremViolationError(
-                    f"constructed root 0x{x:x} fell inside GF(q^2) (b=0x{b:x})"
-                )
-            if params.derivative_value(x) != b:
-                raise TheoremViolationError(
-                    f"constructed root 0x{x:x} fails substitution (b=0x{b:x})"
-                )
-            out.add(x)
-    if len(out) != q * q - q:
-        raise TheoremViolationError(
-            f"unit-circle solution set has size {len(out)}, expected {q * q - q}"
-        )
-    return out
+    roots = [x for wit in witnesses for x in wit.roots]
+    for x in roots:
+        if params.field.in_subfield(x, 2 * n):
+            raise TheoremViolationError(
+                f"constructed root 0x{x:x} fell inside GF(q^2) (b=0x{b:x})"
+            )
+    return _verified(params, b, roots, q * q - q)
 
 
 def solutions_off_subfield(params: TheoremParams, b: int) -> set[int]:
@@ -472,9 +470,10 @@ def solutions_off_subfield(params: TheoremParams, b: int) -> set[int]:
 
     Each circle root gamma determines one solution through
     x^(2q^2) = (b + gamma) / pair_sum; the map u -> u^(2q^2) is a
-    bijection, inverted by a single modular-inverse exponent.  The pair
-    state is ``case_trace(params, b).state``; every b whose trace has none
-    (b in GF(q^2), C = 0) raises ``ValueError``.
+    bijection, inverted by a single modular-inverse exponent.  A pair
+    leaves through ``_verified``.  The pair state is
+    ``case_trace(params, b).state``; every b whose trace has none (b in
+    GF(q^2), C = 0) raises ``ValueError``.
     """
     fld = params.field
     state = case_trace(params, b).state
@@ -484,19 +483,8 @@ def solutions_off_subfield(params: TheoremParams, b: int) -> set[int]:
         return set()
     recover = pow(2 * params.q * params.q, -1, fld.order - 1)
     inv_sum = fld.inv(state.pair_sum)
-    out = set()
-    for gamma in state.circle_roots:
-        x = fld.pow(fld.mul(b ^ gamma, inv_sum), recover)
-        if params.derivative_value(x) != b:
-            raise TheoremViolationError(
-                f"recovered solution 0x{x:x} fails substitution (b=0x{b:x})"
-            )
-        out.add(x)
-    if len(out) != 2:
-        raise TheoremViolationError(
-            f"circle roots produced {len(out)} distinct solutions (b=0x{b:x})"
-        )
-    return out
+    roots = [fld.pow(fld.mul(b ^ gamma, inv_sum), recover) for gamma in state.circle_roots]
+    return _verified(params, b, roots, 2)
 
 
 # ---------------------------------------------------------------------------

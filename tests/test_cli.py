@@ -34,6 +34,9 @@ def test_exit_code_guard(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--n", "7")
     assert code == 2
     assert "guard" in err
+    code, _, err = run_cli(capsys, "spectrum", "--m", "25", "--d", "3")
+    assert code == 2
+    assert err == "error: m=25 exceeds the m <= 24 guard\n"
 
 
 def test_exit_code_guard_env_lowered(capsys, monkeypatch):
@@ -48,6 +51,13 @@ def test_env_guard_cannot_raise(capsys, monkeypatch):
     monkeypatch.setenv("DIFFSPEC_MAX_M", "100")
     code, _, _ = run_cli(capsys, "spectrum", "--n", "7")
     assert code == 2
+
+
+def test_env_guard_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("DIFFSPEC_MAX_M", "abc")
+    code, _, err = run_cli(capsys, "spectrum", "--n", "1")
+    assert code == 1
+    assert err == "error: DIFFSPEC_MAX_M must be an integer, got 'abc'\n"
 
 
 def test_exit_code_validation(capsys):
@@ -342,6 +352,19 @@ def test_spectrum_deterministic(capsys):
     assert out1 == out2
 
 
+def test_spectrum_closed_form_method(capsys, make_params):
+    entries = theorem.spectrum_closed_form(make_params(2)).entries
+    payload = run_json(capsys, "spectrum", "--n", "2", "--method", "closed-form")
+    assert payload["method"] == "closed-form"
+    assert payload["spectrum"] == {str(i): c for i, c in entries.items()}
+    assert payload["uniformity"] == max(entries) == 16
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--method", "closed-form",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows == [["multiplicity", "count"]] + [[str(i), str(c)] for i, c in entries.items()]
+
+
 # -- verify -----------------------------------------------------------------------
 
 def test_verify_passes(capsys):
@@ -458,6 +481,20 @@ def test_delta_quadratic_case_exposes_audit_values(capsys):
     assert info["case"] == "quadratic"
     assert {"A", "B", "C", "circle_roots"} <= set(info)
     assert info["count"] == payload["delta"]
+
+
+def test_delta_csv_flattens_the_audit_values(capsys):
+    # The structured dict flattens to one dotted row per key.
+    code, out, _ = run_cli(capsys, "delta", "--n", "2", "--a", "0x1", "--b", "0x2",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert rows[7:] == [
+        ["structured.count", "2"], ["structured.case", "quadratic"],
+        ["structured.A", "0x1"], ["structured.B", "0xed"], ["structured.C", "0xec"],
+        ["structured.circle_roots", "['0xc', '0xb0']"],
+    ]
 
 
 def test_delta_unsplit_pair_quadratic_exits_theorem(capsys, monkeypatch):
@@ -617,3 +654,25 @@ def test_table_format_renders(capsys):
                            "--format", "table")
     assert code == 0
     assert "case=b=1" in out
+    code, out, _ = run_cli(capsys, "delta", "--n", "2", "--a", "0x1", "--b", "0x2",
+                           "--format", "table")
+    assert code == 0
+    assert out.splitlines() == [
+        "delta(a=0x1, b=0x2) = 2  [m=8 d=83]",
+        "case=quadratic structured_count=2",
+        "  A = 0x1",
+        "  B = 0xed",
+        "  C = 0xec",
+        "  circle_roots = ['0xc', '0xb0']",
+    ]
+    code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--format", "table")
+    assert code == 0
+    assert out.splitlines() == [
+        "m=8 d=83 poly=0x11b", "  w0 = 155", "  w2 = 96", "  w12 = 4", "  w16 = 1",
+        "uniformity: 16",
+    ]
+    payload = run_json(capsys, "field-info", "--n", "2")
+    code, out, _ = run_cli(capsys, "field-info", "--n", "2", "--format", "table")
+    assert code == 0
+    assert out.splitlines() == [f"{key}: {value}" for key, value in payload.items()]
+    assert "mu_q_plus_1: 5" in out.splitlines()

@@ -365,6 +365,26 @@ def test_subfield_abs_trace_validation(f256):
         assert f256.subfield_abs_trace(a, 8) == f256.abs_trace(a)
 
 
+def test_rel_trace_leaving_its_subfield_raises_theorem_channel(monkeypatch):
+    # Each 2^4-th power with bit 0 flipped: the conjugates no longer sum
+    # to a fixed point of that power.
+    fld = GF2m(8)
+    real = GF2m._frob
+    monkeypatch.setattr(GF2m, "_frob",
+                        lambda self, a, k: real(self, a, k) ^ 1 if k == 4 else real(self, a, k))
+    with pytest.raises(TheoremViolationError, match=r"^relative trace 0x5d left its subfield$"):
+        fld.rel_trace(0x02, 4)
+
+
+def test_trace_outside_f2_raises_theorem_channel(monkeypatch):
+    # Squaring planted as the identity: every element passes the membership
+    # test, and at odd degree its trace sums to the element itself.
+    fld = GF2m(5)
+    monkeypatch.setattr(GF2m, "_mul", lambda self, a, b: a)
+    with pytest.raises(TheoremViolationError, match=r"^trace 0x2 of 0x2 is not in F2$"):
+        fld.abs_trace(0x02)
+
+
 def test_sqrt(f16):
     assert f16.sqrt(0) == 0
     assert f16.sqrt(1) == 1

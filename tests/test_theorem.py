@@ -11,11 +11,13 @@ from diffspec import cli
 from diffspec.errors import GuardExceededError, TheoremViolationError
 from diffspec.gf2m import GF2m, is_irreducible
 from diffspec.powerfn import (
+    PowerFunction,
     delta,
     derivative_table,
     solution_counts,
     solution_set,
     spectrum_brute,
+    spectrum_from_counts,
 )
 from diffspec.theorem import (
     TheoremParams,
@@ -329,7 +331,6 @@ def test_circle_pair_state_properties(make_params):
         if b in sub:
             continue
         state = case_trace(p, b).state
-        assert state.b == b
         assert state.inv_gap != 0
         assert fld.in_subfield(state.norm_term, 4)
         assert fld.in_subfield(state.cross_term, 4)
@@ -534,6 +535,32 @@ def test_spectrum_closed_form_matches_brute(make_params):
     for n in (1, 2, 3):
         p = make_params(n)
         assert spectrum_closed_form(p).entries == spectrum_brute(p.power_function()).entries
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_inverse_exponent_moves_counts_between_b(make_params, n):
+    """delta_(d^-1)(1, b) = delta_d(b, 1) = delta_d(1, b^(-d)) for b != 0.
+
+    x^d permutes GF(2^(4n)), so the counts of d' = d^-1 mod 2^m - 1 are the
+    counts of d read at b^(-d) = exp[-d log b]: a per-b identity between
+    sweeps of two unrelated exponents, and with it the invariance of the
+    spectrum under inversion (Blondeau, Canteaut and Charpin, 2010).  d + 2
+    in place of d on the right breaks it.
+    """
+    p = make_params(n)
+    fld = p.field
+    size = fld.order - 1
+    exp, log = fld.log_tables()
+    inverse = PowerFunction(fld, pow(p.d, -1, size))
+    counts = solution_counts(inverse)
+
+    def moved(d):
+        at = log[1:].astype(np.int64) * (-d % size) % size   # log of b^(-d), b != 0
+        return solution_counts(PowerFunction(fld, d))[exp[at]]
+
+    assert np.array_equal(counts[1:], moved(p.d))
+    assert not np.array_equal(counts[1:], moved(p.d + 2))
+    assert spectrum_from_counts(counts, inverse).entries == spectrum_closed_form(p).entries
 
 
 def test_verify_conjecture_passes(make_params):
@@ -754,6 +781,105 @@ def test_one_root_on_circle_raises_theorem_channel(make_params, monkeypatch):
                         lambda self, beta, gamma: (0,) + real(self, beta, gamma)[1:])
     with pytest.raises(TheoremViolationError, match="exactly one root"):
         case_trace(p, b)
+
+
+# -- planted faults on the solution constructors ------------------------------------
+# Each test builds its own n = 2 instance, so that no planted fault reaches a
+# cache of the session-wide fields.
+
+def first_circle_b(params):
+    return sorted(unit_circle(params) - {1})[0]
+
+
+def first_pair_b(params):
+    return next(b for b in range(2, params.field.order) if case_trace(params, b).count == 2)
+
+
+@pytest.mark.parametrize("construct", [
+    lambda p: solutions_for_one(p),
+    lambda p: solutions_on_circle(p, first_circle_b(p)),
+    lambda p: solutions_off_subfield(p, first_pair_b(p)),
+], ids=["for_one", "on_circle", "off_subfield"])
+def test_failed_substitution_raises_theorem_channel(monkeypatch, construct):
+    p = TheoremParams(2)
+    real = TheoremParams.derivative_value
+    monkeypatch.setattr(TheoremParams, "derivative_value", lambda self, x: real(self, x) ^ 1)
+    with pytest.raises(TheoremViolationError, match=r"^constructed root 0x[0-9a-f]+ fails substitution"):
+        construct(p)
+
+
+def test_repeated_root_raises_theorem_channel(monkeypatch):
+    # Every admissible pair solves to the first pair's roots.
+    p = TheoremParams(2)
+    b = first_circle_b(p)
+    first = circle_witnesses(p, b)[0].roots
+    monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: first)
+    with pytest.raises(TheoremViolationError, match=r"^10 constructed roots repeat \(b=0xc\)$"):
+        solutions_on_circle(p, b)
+
+
+def test_third_circle_root_raises_theorem_channel(monkeypatch):
+    # The pair quadratic gains a third root on the unit circle, so b gets
+    # three distinct solutions where the pair construction allows two.
+    p = TheoremParams(2)
+    b = first_pair_b(p)
+    extra = min(unit_circle(p) - set(case_trace(p, b).state.circle_roots))
+    real = GF2m.solve_quadratic
+    monkeypatch.setattr(GF2m, "solve_quadratic",
+                        lambda self, beta, gamma: real(self, beta, gamma) + (extra,))
+    assert case_trace(p, b).count == 3
+    with pytest.raises(TheoremViolationError,
+                       match=rf"^constructed 3 solutions, expected 2 \(b=0x{b:x}\)$"):
+        solutions_off_subfield(p, b)
+
+
+def test_circle_root_inside_the_subfield_raises_theorem_channel(monkeypatch):
+    p = TheoremParams(2)
+    monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: (0, 1))
+    with pytest.raises(TheoremViolationError,
+                       match=r"^constructed root 0x0 fell inside GF\(q\^2\) \(b=0xc\)$"):
+        solutions_on_circle(p, first_circle_b(p))
+
+
+def test_unsplit_witness_quadratic_raises_theorem_channel(monkeypatch):
+    p = TheoremParams(2)
+    monkeypatch.setattr(GF2m, "solve_quadratic", lambda self, beta, gamma: ())
+    with pytest.raises(TheoremViolationError,
+                       match=r"^admissible pair produced 0 roots \(b=0xc\)$"):
+        solutions_on_circle(p, first_circle_b(p))
+
+
+@pytest.mark.parametrize("root,message", [
+    # 0 is in GF(q): trace coordinate 0 is skipped in place of the excluded
+    # one, which admits no norm coordinate, so a coordinate's q/2 go missing.
+    (0, r"^expected 6 admissible pairs, found 4$"),
+    # 0x02 generates GF(2^8), so it lies outside GF(q).
+    (0x02, r"^excluded trace coordinate left GF\(q\)$"),
+])
+def test_wrong_square_root_raises_theorem_channel(monkeypatch, root, message):
+    # Square roots are (m-1)-th Frobenius powers; only the excluded trace
+    # coordinate takes one on this path.
+    p = TheoremParams(2)
+    b = first_circle_b(p)
+    real = GF2m._frob
+    monkeypatch.setattr(GF2m, "_frob",
+                        lambda self, a, k: root if k == self.degree - 1 else real(self, a, k))
+    with pytest.raises(TheoremViolationError, match=message):
+        solutions_on_circle(p, b)
+
+
+def test_circle_scale_under_another_modulus_raises_theorem_channel(monkeypatch):
+    # Every product is taken modulo 0x11d while the field stays 0x11b; the
+    # subfield list is built, and cached, before the fault.
+    p = TheoremParams(2)
+    b = first_circle_b(p)
+    p.field.subfield_elements(4)
+    wrong = GF2m(8, 0x11D)
+    real = GF2m._mul
+    monkeypatch.setattr(GF2m, "_mul", lambda self, x, y: real(wrong, x, y))
+    with pytest.raises(TheoremViolationError,
+                       match=r"^no \(q-1\)-th root of b=0xc in the quadratic subfield$"):
+        find_circle_scale(p, b)
 
 
 # -- planted faults on the structured path ---------------------------------------
