@@ -50,8 +50,11 @@ calling thread waits.  The table build uses it for each doubling step
 (the slices write disjoint parts of ``exp``) and for ``log``: the
 field-order fill writes each slice's own entries, and the odd-degree
 scatter's slices are disjoint because ``exp`` is a permutation.
-:mod:`diffspec.powerfn` uses the same helper for its sweeps.  Pool tasks call only private code,
-so every public function and method runs on the calling thread.  The
+:mod:`diffspec.powerfn` uses the same helper for its per-b sweep
+(``solution_counts``), for its Frobenius-orbit pass (``spectrum_brute``
+and ``delta``) and for finding the orbits that pass visits.  Pool tasks
+call only private code, so every public function and method runs on the
+calling thread.  The
 first exception of any task is re-raised once every thread has joined.
 Below degree 22 every loop is a plain loop on the calling thread:
 threads gained nothing measurable there and their per-thread allocator

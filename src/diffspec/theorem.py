@@ -318,7 +318,7 @@ def case_trace(params: TheoremParams, b: int) -> CaseTrace:
 def structured_counts(params: TheoremParams) -> tuple[np.ndarray, dict[str, int]]:
     """The ``case_trace`` count of every b, and how many b reached each branch.
 
-    Counts come back as a ``uint16`` array indexed by b, the brute sweep's
+    Counts come back as a ``uint16`` array indexed by b, ``solution_counts``'
     format (no count exceeds q^2 <= 2^12); the branch tally is keyed like
     ``family_branches``.  No sweep over x is made.
     """

@@ -1,10 +1,14 @@
 import inspect
+import json
 import math
 import os
 import random
+import re
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffspec.gf2m as gf2m
+import diffspec.powerfn as powerfn
 from diffspec.gf2m import BULK_CHUNK, GF2m
 from diffspec.powerfn import (
     PowerFunction,
@@ -324,6 +329,115 @@ def test_spectrum_json_shape(f256):
     assert payload["uniformity"] == 16
 
 
+# -- Frobenius orbits ------------------------------------------------------------
+
+def necklaces(m):
+    """Binary necklaces of length m: (1/m) sum over k | m of phi(k) 2^(m/k)."""
+    phi = lambda k: sum(math.gcd(j, k) == 1 for j in range(1, k + 1))
+    return sum(phi(k) << (m // k) for k in range(1, m + 1) if m % k == 0) // m
+
+
+@pytest.mark.parametrize("m", list(range(4, 23)) + [24])
+def test_frobenius_orbit_representatives(m):
+    # One log per orbit of x -> x^2 on the nonzero x: every necklace but
+    # the all-ones one (2^m - 1 is not a log), least of its rotations, with
+    # its rotation period as the orbit size.  Rotations here turn left.
+    reps, sizes = powerfn._frobenius_orbits(GF2m(m))
+    assert reps.dtype == np.uint32 and sizes.dtype == np.uint8
+    assert len(reps) == len(sizes) == necklaces(m) - 1
+    assert reps[0] == 0 and np.all(reps[1:] % 2 == 1) and np.all(np.diff(reps) > 0)
+    assert int(sizes.sum(dtype=np.int64)) == (1 << m) - 1
+    period = np.zeros(len(reps), dtype=np.int64)
+    for r in range(1, m):
+        turned = ((reps << r) | (reps >> (m - r))) & ((1 << m) - 1)
+        assert np.all(turned >= reps), r
+        period[(turned == reps) & (period == 0)] = r
+    period[period == 0] = m
+    assert np.array_equal(period, sizes)
+
+
+def degenerate_and_seeded(fld, seed):
+    """Exponents whose x^d is constant, linear or a multiple of 2^m - 1 (so
+    0^d decides D(0)), the inverse, Gold, and two random ones."""
+    size = fld.order - 1
+    rng = random.Random(seed)
+    return (0, 1, 4, size, 2 * size, size - 1, 3, (1 << (fld.degree // 2)) + 1,
+            rng.randrange(2, size), rng.randrange(2, size * size))
+
+
+@pytest.mark.parametrize("m", range(4, 17))
+def test_spectrum_brute_matches_per_b_counts(m):
+    fld = GF2m(m)
+    for d in degenerate_and_seeded(fld, m):
+        f = PowerFunction(fld, d)
+        orbits = spectrum_brute(f)
+        per_b = spectrum_from_counts(solution_counts(f), f)
+        assert orbits == per_b and list(orbits.entries) == list(per_b.entries), d
+
+
+@pytest.mark.parametrize("m", [4, 9, 12, 17])
+def test_delta_matches_per_b_counts(m):
+    fld = GF2m(m)
+    rng = random.Random(100 + m)
+    for d in degenerate_and_seeded(fld, m):
+        f = PowerFunction(fld, d)
+        counts = solution_counts(f)
+        hit = np.flatnonzero(counts)
+        bs = [0, 1, int(hit[0]), int(hit[-1]), rng.randrange(fld.order)]
+        for a in (1, 2, rng.randrange(2, fld.order)):
+            for b in bs:
+                target = fld.mul(b, fld.inv(fld.pow(a, d)))
+                assert delta(f, a, b) == counts[target], (d, a, b)
+
+
+# One orbit size off by one, and the orbit key of b = 1 moved onto that of
+# g, which is a full orbit: Gold x^3 at m = 8 has delta(1, 1) = 2, so g's
+# orbit takes 2 hits more than a multiple of its size 8.  Both must raise
+# without asserts, as under python -O.
+PLANTED_ORBIT_FAULTS = """
+import json
+import numpy as np
+import diffspec.powerfn as powerfn
+from diffspec.errors import TheoremViolationError
+from diffspec.gf2m import GF2m
+
+f = powerfn.PowerFunction(GF2m(8), 3)
+g = int(f.field.log_tables()[0][1])
+reps, sizes = powerfn._frobenius_orbits(f.field)
+
+def raised(fn):
+    try:
+        fn()
+    except TheoremViolationError as exc:
+        return str(exc)
+    return None
+
+out = {}
+grown = sizes.copy()
+grown[7] += 1
+powerfn._ORBITS[8] = (reps, grown)
+out["size"] = [raised(lambda: powerfn.spectrum_brute(f)), raised(lambda: powerfn.delta(f, 1, g))]
+powerfn._ORBITS[8] = (reps, sizes)
+least = powerfn._least_rotation
+powerfn._least_rotation = lambda k, m: np.maximum(least(k, m), 1)
+out["key"] = [raised(lambda: powerfn.spectrum_brute(f)), raised(lambda: powerfn.delta(f, 1, g))]
+print(json.dumps(out))
+"""
+
+
+def test_planted_orbit_faults_raise_under_optimize():
+    src = str(Path(powerfn.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", PLANTED_ORBIT_FAULTS],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["size"] == ["orbit weights total 257, not the field order 256"] * 2
+    for message in out["key"]:
+        assert re.fullmatch(r"b-orbit of key 1 and size 8 took \d+ hits, "
+                            r"not a multiple of its size", message), message
+
+
 # -- threaded sweeps -------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -344,9 +458,9 @@ def with_workers(monkeypatch, workers, fn):
     ran_on = set()
     real = PowerFunction._image_chunk
 
-    def recording(self, start, stop, tables):
+    def recording(self, logs, exp):
         ran_on.add(threading.get_ident())
-        return real(self, start, stop, tables)
+        return real(self, logs, exp)
 
     with monkeypatch.context() as patch:
         patch.setattr(gf2m, "sweep_workers", lambda field: workers)
@@ -380,6 +494,16 @@ def test_threaded_solution_counts_match_one_worker(f22, monkeypatch, workers):
         assert np.array_equal(threaded, serial), d
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_threaded_spectrum_brute_matches_per_b_counts(f22, monkeypatch, workers):
+    # A fresh orbit cache, so that its build runs on the workers as well.
+    monkeypatch.setattr(powerfn, "_ORBITS", {})
+    for d in degenerate_and_seeded(f22, 22)[::3]:
+        f = PowerFunction(f22, d)
+        per_b = spectrum_from_counts(solution_counts(f), f)
+        assert with_workers(monkeypatch, workers, lambda: spectrum_brute(f)) == per_b, d
+
+
 def test_threaded_delta_matches_one_worker(f22, monkeypatch):
     f = PowerFunction(f22, 1 + 2**11)
     rng = random.Random(2022)
@@ -393,18 +517,25 @@ def test_threaded_delta_matches_one_worker(f22, monkeypatch):
 
 @pytest.mark.parametrize("bad_start", [0, 7 * BULK_CHUNK, 15 * BULK_CHUNK])
 def test_threaded_sweep_reraises_a_chunk_failure(monkeypatch, bad_start):
+    # The slice at bad_start fails, or the last slice of a shorter range:
+    # the orbit pass and its representatives' build span fewer slices.
     f = PowerFunction(GF2m(20), 7)
-    original = PowerFunction._image_chunk
+    original = powerfn._sweep
     active = []
 
-    def planted(self, start, stop, tables):
-        active.append(threading.active_count())
-        if start == bad_start:
-            raise RuntimeError(f"planted failure at {start}")
-        return original(self, start, stop, tables)
+    def planted(field, stop, work):
+        bad = min(bad_start, (stop - 1) // BULK_CHUNK * BULK_CHUNK)
+
+        def failing(start):
+            active.append(threading.active_count())
+            if start == bad:
+                raise RuntimeError(f"planted failure at {start}")
+            return work(start)
+
+        return original(field, stop, failing)
 
     before = threading.active_count()
-    monkeypatch.setattr(PowerFunction, "_image_chunk", planted)
+    monkeypatch.setattr(powerfn, "_sweep", planted)
     monkeypatch.setattr(gf2m, "sweep_workers", lambda field: 2)
     with pytest.raises(RuntimeError, match=f"planted failure at {bad_start}"):
         solution_counts(f)
@@ -430,11 +561,13 @@ def test_threaded_sweep_calls_public_code_from_the_caller_only(f22, monkeypatch)
 
             monkeypatch.setattr(cls, name, recording)
     f = PowerFunction(f22, 1 + 2**11)
+    monkeypatch.setattr(powerfn, "_ORBITS", {})   # the orbit build runs below
 
     def calls():
         GF2m(22).log_tables()
         solution_counts(f)
         delta(f, BULK_CHUNK + 3, 0x1234)
+        spectrum_brute(f)
 
     with_workers(monkeypatch, 2, calls)
     assert seen and set(seen) == {threading.get_ident()}
